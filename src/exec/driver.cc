@@ -27,14 +27,11 @@ int64_t NowNs() { return obs::WallNowNs(); }
 constexpr int kMorselBatches = 8;   // table batches per morsel
 constexpr int kFilesPerMorsel = 2;  // scan files per morsel
 
-// Process-wide counters: task groups and shuffle ids must be unique
-// across *all* Driver instances. Concurrent sessions each construct a
-// driver over one shared MemoryManager and object store; colliding group
-// ids would put two queries' consumers in one spill-victim set (a
-// cross-thread Spill() race), and colliding shuffle ids would mix their
-// blocks.
+// Process-wide counter: task groups must be unique across *all* Driver
+// instances. Concurrent sessions each construct a driver over one shared
+// MemoryManager; colliding group ids would put two queries' consumers in
+// one spill-victim set (a cross-thread Spill() race).
 std::atomic<int64_t> g_next_task_group{1};
-std::atomic<int64_t> g_next_shuffle_id{0};
 
 int64_t NextTaskGroup() {
   return g_next_task_group.fetch_add(1, std::memory_order_relaxed);
@@ -45,24 +42,12 @@ Status CheckAlive(const ExecContext& ctx) {
   return ctx.control != nullptr ? ctx.control->Check() : Status::OK();
 }
 
-/// Deletes a shuffle's blocks on scope exit: a failed map or reduce task
-/// must not leak shuffle data in the object store.
-class ShuffleGuard {
- public:
-  explicit ShuffleGuard(std::string id) : id_(std::move(id)) {}
-  ~ShuffleGuard() { DeleteShuffle(id_); }
-  ShuffleGuard(const ShuffleGuard&) = delete;
-  ShuffleGuard& operator=(const ShuffleGuard&) = delete;
-
- private:
-  std::string id_;
-};
-
-/// Appends compacted copies of every batch of `src` to `dst`.
-void AppendTable(const Table& src, Table* dst) {
-  for (int b = 0; b < src.num_batches(); b++) {
-    if (src.batch(b).num_active() == 0) continue;
-    dst->AppendBatch(CompactBatch(src.batch(b)));
+/// Moves the non-empty batches of `src` to the end of `dst`. Stage outputs
+/// come from CollectAll, which already compacted them into owned, dense
+/// batches, so nothing is copied.
+void MoveBatches(Table* src, Table* dst) {
+  for (std::unique_ptr<ColumnBatch>& batch : src->TakeBatches()) {
+    if (batch->num_active() > 0) dst->AppendBatch(std::move(batch));
   }
 }
 
@@ -278,9 +263,8 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
   }
 
   // Build sides of in-fragment joins: each is materialized by its own
-  // (recursive) stages, then hashed once into a shared build state. In
-  // the profile the build subtree hangs under the join node, next to the
-  // probe-side chain. (Joins are always singleton groups.)
+  // (recursive) stages, then hashed by its own partition-parallel build
+  // stage into a shared build state. (Joins are always singleton groups.)
   frag.builds.resize(nodes.size());
   for (size_t g = 0; g < frag.groups.size(); g++) {
     size_t idx = static_cast<size_t>(frag.groups[g].begin);
@@ -289,17 +273,8 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
         node->kind != plan::PlanKind::kJoin) {
       continue;
     }
-    PHOTON_ASSIGN_OR_RETURN(
-        Table build_table,
-        RunNode(node->children[1], state, frag.node_ids[g]));
-    ExecContext build_ctx = state->ctx;
-    build_ctx.task_group = NextTaskGroup();
-    InMemoryScanOperator build_scan(&build_table);
-    obs::TraceSpan span("join_build", static_cast<int64_t>(idx));
-    PHOTON_ASSIGN_OR_RETURN(
-        frag.builds[idx],
-        HashJoinOperator::BuildShared(&build_scan, node->right_keys,
-                                      build_ctx));
+    PHOTON_ASSIGN_OR_RETURN(frag.builds[idx],
+                            RunJoinBuild(*node, state, frag.node_ids[g]));
   }
 
   switch (frag.cut.leaf_kind) {
@@ -393,117 +368,61 @@ Result<OperatorPtr> Driver::InstantiateFragment(const StagedFragment& frag,
   return op;
 }
 
-Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
-    const StagedFragment& frag, RunState* state, const WrapFn& wrap,
-    int wrap_node_id, StageInfo* info) {
-  std::vector<Morsel> morsels =
-      SplitMorsels(frag.units, frag.units_per_morsel);
-  const int num_morsels = static_cast<int>(morsels.size());
-  const int num_tasks = std::min(num_threads(), num_morsels);
-  const int stage_id = info->stage_id;
+Result<int> Driver::RunTasks(int num_items, int stage_id, RunState* state,
+                             const TaskFn& fn) {
+  const int num_tasks = std::min(num_threads(), num_items);
   obs::ProfileBuilder* profile = state->profile;
-  obs::MetricSet* stage_set =
-      profile != nullptr ? profile->StageSet(stage_id) : nullptr;
-  if (profile != nullptr) {
-    for (int nid : frag.node_ids) profile->SetStage(nid, stage_id);
-    profile->SetStage(frag.leaf_node_id, stage_id);
-    if (wrap_node_id >= 0) profile->SetStage(wrap_node_id, stage_id);
-  }
-  int64_t t0 = NowNs();
+  MorselQueue queue(num_items);
 
-  MorselQueue queue(num_morsels);
-  std::vector<std::unique_ptr<Table>> slots(num_morsels);
-
-  // One metric shard per (node, worker): the shard is only ever touched
-  // by this thread, so the hot path is uncontended relaxed atomics and
-  // the merge happens here, after the morsel is drained — the
-  // sharded-then-merged-at-barriers design of §5.2.
-  //
-  // `max_claims` bounds how many morsels one invocation drains: the
+  // `max_claims` bounds how many items one invocation drains: the
   // standalone driver launches num_tasks unbounded claim loops (each
   // worker thread drains greedily), while service mode submits one
-  // single-claim task per morsel to the fair scheduler — yielding the
-  // worker between morsels is exactly what lets a peer query's task run.
-  auto worker = [&, stage_id](int max_claims) -> Status {
+  // single-claim task per item to the fair scheduler — yielding the
+  // worker between items is exactly what lets a peer query's task run.
+  auto worker = [&](int max_claims) -> Status {
     const int64_t task_id = profile != nullptr ? profile->NewTaskId() : 0;
     for (int claimed = 0; claimed < max_claims; claimed++) {
-      // Morsel claims are cancellation points: a cancelled or
-      // deadline-expired query stops claiming work here, and the claim
-      // its peers skip is what makes cancellation prompt at 8 threads.
+      // Claims are cancellation points: a cancelled or deadline-expired
+      // query stops claiming work here, and the claim its peers skip is
+      // what makes cancellation prompt at 8 threads.
       PHOTON_RETURN_NOT_OK(CheckAlive(state->ctx));
-      int m = queue.Next();
-      if (m < 0) break;
-      obs::TraceSpan morsel_span("morsel", m);
-      int64_t cpu0 = profile != nullptr ? obs::ThreadCpuNs() : 0;
-      ExecContext task_ctx = state->ctx;
-      task_ctx.task_group = NextTaskGroup();
-      // Unique per-task spill namespace: concurrent tasks must never
-      // collide on object-store spill keys.
-      task_ctx.spill_prefix = state->ctx.spill_prefix + "/s" +
-                              std::to_string(stage_id) + "-m" +
-                              std::to_string(m);
-      Harvest harvest;
-      PHOTON_ASSIGN_OR_RETURN(
-          OperatorPtr op,
-          InstantiateFragment(frag, morsels[m], task_ctx,
-                              profile != nullptr ? &harvest : nullptr));
-      Operator* chain_top = op.get();
-      PHOTON_ASSIGN_OR_RETURN(op, wrap(std::move(op), task_ctx));
-      if (profile != nullptr && op.get() != chain_top) {
-        harvest.emplace_back(op.get(), wrap_node_id);
-      }
-      Result<Table> out = CollectAll(op.get(), state->ctx.control);
-      if (profile != nullptr) {
-        for (const auto& [hop, nid] : harvest) {
-          hop->PublishMetrics();
-          if (nid >= 0) {
-            profile->TaskShard(nid, task_id)->MergeFrom(hop->op_metrics());
-          }
-          stage_set->MergeResourceFrom(hop->op_metrics());
-        }
-        stage_set->Add(obs::Metric::kCpuNs, obs::ThreadCpuNs() - cpu0);
-        if (out.ok()) {
-          stage_set->Add(obs::Metric::kRowsOut, out->num_rows());
-          stage_set->Add(obs::Metric::kBatches, out->num_batches());
-        }
-      }
-      PHOTON_RETURN_NOT_OK(out.status());
-      slots[m] = std::make_unique<Table>(std::move(*out));
+      int item = queue.Next();
+      if (item < 0) break;
+      PHOTON_RETURN_NOT_OK(fn(item, task_id));
     }
     return Status::OK();
   };
 
   Status status = Status::OK();
-  if (num_morsels == 1 || (scheduler_ == nullptr && num_tasks <= 1)) {
-    // One morsel (or a single-worker standalone driver): run inline on
-    // the calling thread. In service mode this keeps point queries off
-    // the shared queues entirely — their single morsel runs on the
-    // session's own control thread at zero scheduling latency — but a
-    // multi-morsel stage always goes through the scheduler, whatever its
-    // size, so the worker cap and round-robin fairness hold.
-    status = worker(num_morsels);
+  if (num_items == 1 || (scheduler_ == nullptr && num_tasks <= 1)) {
+    // One item (or a single-worker standalone driver): run inline on the
+    // calling thread. In service mode this keeps point queries off the
+    // shared queues entirely — their single morsel runs on the session's
+    // own control thread at zero scheduling latency — but a multi-item
+    // stage always goes through the scheduler, whatever its size, so the
+    // worker cap and round-robin fairness hold.
+    status = worker(num_items);
   } else {
     std::vector<std::future<Status>> futures;
     if (scheduler_ != nullptr) {
-      // Service mode: one single-claim task per morsel on this query's
+      // Service mode: one single-claim task per item on this query's
       // queue. The scheduler drains queues round-robin, so between any
-      // two of our morsels every peer query gets a turn.
-      futures.reserve(num_morsels);
-      for (int t = 0; t < num_morsels; t++) {
+      // two of our items every peer query gets a turn.
+      futures.reserve(num_items);
+      for (int t = 0; t < num_items; t++) {
         futures.push_back(SubmitTask([&worker] { return worker(1); }));
       }
     } else {
       futures.reserve(num_tasks);
       for (int t = 0; t < num_tasks; t++) {
-        futures.push_back(SubmitTask([&worker, num_morsels] {
-          return worker(num_morsels);
-        }));
+        futures.push_back(
+            SubmitTask([&worker, num_items] { return worker(num_items); }));
       }
     }
     // Join every task before surfacing the first error — peers share the
-    // queue and the output slots. (Also a breaker-barrier cancellation
-    // point: the post-join CheckAlive below turns "every task bailed at
-    // its claim" into a crisp kCancelled for the whole stage.)
+    // queue and the caller's output slots. (Also a breaker-barrier
+    // cancellation point: the post-join CheckAlive below turns "every task
+    // bailed at its claim" into a crisp kCancelled for the whole stage.)
     obs::TraceSpan barrier("stage_barrier", stage_id);
     for (auto& f : futures) {
       Status s = f.get();
@@ -512,16 +431,163 @@ Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
   }
   if (status.ok()) status = CheckAlive(state->ctx);
   PHOTON_RETURN_NOT_OK(status);
+  return num_tasks;
+}
 
-  info->num_tasks = num_tasks;
-  int64_t wall = NowNs() - t0;
-  if (profile != nullptr) {
-    stage_set->Add(obs::Metric::kWallNs, wall);
-    info->m = profile->StageSnapshot(stage_id);
-  } else {
-    info->m[obs::Metric::kWallNs] = wall;
+void Driver::RecordTask(RunState* state, int stage_id, int64_t task_id,
+                        const Harvest& harvest, int64_t cpu0,
+                        const Result<Table>& out) {
+  obs::ProfileBuilder* profile = state->profile;
+  obs::MetricSet* stage_set = profile->StageSet(stage_id);
+  for (const auto& [op, nid] : harvest) {
+    op->PublishMetrics();
+    if (nid >= 0) profile->TaskShard(nid, task_id)->MergeFrom(op->op_metrics());
+    stage_set->MergeResourceFrom(op->op_metrics());
   }
+  stage_set->Add(obs::Metric::kCpuNs, obs::ThreadCpuNs() - cpu0);
+  if (out.ok()) {
+    stage_set->Add(obs::Metric::kRowsOut, out->num_rows());
+    stage_set->Add(obs::Metric::kBatches, out->num_batches());
+  }
+}
+
+void Driver::FinishStage(RunState* state, int stage_id, int num_tasks,
+                         int64_t t0) {
+  StageInfo info;
+  info.stage_id = stage_id;
+  info.num_tasks = num_tasks;
+  const int64_t wall = NowNs() - t0;
+  if (state->profile != nullptr) {
+    state->profile->StageSet(stage_id)->Add(obs::Metric::kWallNs, wall);
+    info.m = state->profile->StageSnapshot(stage_id);
+  } else {
+    info.m[obs::Metric::kWallNs] = wall;
+  }
+  if (state->stages != nullptr) state->stages->push_back(info);
+}
+
+Result<std::vector<std::unique_ptr<Table>>> Driver::RunMorselStage(
+    const StagedFragment& frag, RunState* state, const WrapFn& wrap,
+    int wrap_node_id, int stage_id) {
+  std::vector<Morsel> morsels =
+      SplitMorsels(frag.units, frag.units_per_morsel);
+  obs::ProfileBuilder* profile = state->profile;
+  if (profile != nullptr) {
+    for (int nid : frag.node_ids) profile->SetStage(nid, stage_id);
+    profile->SetStage(frag.leaf_node_id, stage_id);
+    if (wrap_node_id >= 0) profile->SetStage(wrap_node_id, stage_id);
+  }
+  int64_t t0 = NowNs();
+  std::vector<std::unique_ptr<Table>> slots(morsels.size());
+
+  // One metric shard per (node, task): the shard is only ever touched by
+  // that task's thread, so the hot path is uncontended relaxed atomics and
+  // the merge happens here, after the morsel is drained — the
+  // sharded-then-merged-at-barriers design of §5.2.
+  auto run_morsel = [&](int m, int64_t task_id) -> Status {
+    obs::TraceSpan morsel_span("morsel", m);
+    int64_t cpu0 = profile != nullptr ? obs::ThreadCpuNs() : 0;
+    ExecContext task_ctx = state->ctx;
+    task_ctx.task_group = NextTaskGroup();
+    // Unique per-task spill namespace: concurrent tasks must never
+    // collide on object-store spill keys.
+    task_ctx.spill_prefix = state->ctx.spill_prefix + "/s" +
+                            std::to_string(stage_id) + "-m" +
+                            std::to_string(m);
+    Harvest harvest;
+    PHOTON_ASSIGN_OR_RETURN(
+        OperatorPtr op,
+        InstantiateFragment(frag, morsels[m], task_ctx,
+                            profile != nullptr ? &harvest : nullptr));
+    Operator* chain_top = op.get();
+    PHOTON_ASSIGN_OR_RETURN(op, wrap(std::move(op), task_ctx));
+    if (profile != nullptr && op.get() != chain_top) {
+      harvest.emplace_back(op.get(), wrap_node_id);
+    }
+    Result<Table> out = CollectAll(op.get(), state->ctx.control);
+    if (profile != nullptr) {
+      RecordTask(state, stage_id, task_id, harvest, cpu0, out);
+    }
+    PHOTON_RETURN_NOT_OK(out.status());
+    slots[m] = std::make_unique<Table>(std::move(*out));
+    return Status::OK();
+  };
+  PHOTON_ASSIGN_OR_RETURN(
+      int num_tasks,
+      RunTasks(static_cast<int>(morsels.size()), stage_id, state, run_morsel));
+  FinishStage(state, stage_id, num_tasks, t0);
   return slots;
+}
+
+Result<JoinBuildPtr> Driver::RunJoinBuild(const plan::PlanNode& join,
+                                          RunState* state, int join_node) {
+  // In the profile the build stage hangs under the join node, next to the
+  // probe-side chain, with the build side's own subtree below it.
+  obs::ProfileBuilder* profile = state->profile;
+  int build_id = -1;
+  if (profile != nullptr) build_id = profile->AddNode("HashJoinBuild", join_node);
+  PHOTON_ASSIGN_OR_RETURN(Table build_table,
+                          RunNode(join.children[1], state, build_id));
+  const int stage_id = state->next_stage_id++;
+  if (profile != nullptr) profile->SetStage(build_id, stage_id);
+  int64_t t0 = NowNs();
+  obs::TraceSpan span("join_build", stage_id);
+  ExecContext build_ctx = state->ctx;
+  build_ctx.task_group = NextTaskGroup();
+  PHOTON_ASSIGN_OR_RETURN(
+      std::unique_ptr<PartitionedJoinBuild> builder,
+      PartitionedJoinBuild::Make(&build_table, join.right_keys, kMorselBatches,
+                                 build_ctx));
+
+  // Both phases record each task's time (and the insert phase its rows)
+  // into the build node.
+  auto timed = [&](int64_t task_id, const std::function<Result<int64_t>()>&
+                                        work) -> Status {
+    int64_t wall0 = NowNs();
+    int64_t cpu0 = profile != nullptr ? obs::ThreadCpuNs() : 0;
+    Result<int64_t> rows = work();
+    if (profile != nullptr) {
+      obs::MetricSet* shard = profile->TaskShard(build_id, task_id);
+      shard->Add(obs::Metric::kWallNs, NowNs() - wall0);
+      if (rows.ok()) shard->Add(obs::Metric::kRowsOut, *rows);
+      profile->StageSet(stage_id)->Add(obs::Metric::kCpuNs,
+                                       obs::ThreadCpuNs() - cpu0);
+    }
+    return rows.status();
+  };
+  PHOTON_ASSIGN_OR_RETURN(
+      int hash_tasks,
+      RunTasks(
+          builder->num_morsels(), stage_id, state,
+          [&](int m, int64_t task_id) {
+            return timed(task_id, [&]() -> Result<int64_t> {
+              PHOTON_RETURN_NOT_OK(builder->HashMorsel(m));
+              return 0;
+            });
+          }));
+  PHOTON_ASSIGN_OR_RETURN(
+      int insert_tasks,
+      RunTasks(
+          builder->num_partitions(), stage_id, state,
+          [&](int p, int64_t task_id) {
+            return timed(task_id, [&]() -> Result<int64_t> {
+              return builder->InsertPartition(p);
+            });
+          }));
+  JoinBuildPtr build = builder->Finish();
+  if (profile != nullptr) {
+    int64_t peak = std::max(build->peak_reserved_bytes(),
+                            build->table->memory_bytes());
+    for (obs::MetricSet* set :
+         {profile->NodeSet(build_id), profile->StageSet(stage_id)}) {
+      set->SetMax(obs::Metric::kPeakReservedBytes, peak);
+      set->Add(obs::Metric::kReserveWaitNs, build->reserve_wait_ns());
+      set->Add(obs::Metric::kReserveWaits, build->reserve_waits());
+    }
+    profile->StageSet(stage_id)->Add(obs::Metric::kRowsOut, build->build_rows);
+  }
+  FinishStage(state, stage_id, std::max(hash_tasks, insert_tasks), t0);
+  return build;
 }
 
 Result<Table> Driver::RunFragment(const plan::PlanPtr& node, RunState* state,
@@ -530,18 +596,14 @@ Result<Table> Driver::RunFragment(const plan::PlanPtr& node, RunState* state,
   if (state->profile != nullptr) {
     state->profile->SetParent(frag.top_node_id, parent_node);
   }
-  StageInfo info;
-  info.stage_id = state->next_stage_id++;
   WrapFn identity = [](OperatorPtr op, const ExecContext&) {
     return Result<OperatorPtr>(std::move(op));
   };
-  PHOTON_ASSIGN_OR_RETURN(auto outputs,
-                          RunMorselStage(frag, state, identity, -1, &info));
-  if (state->stages != nullptr) state->stages->push_back(info);
+  PHOTON_ASSIGN_OR_RETURN(
+      auto outputs,
+      RunMorselStage(frag, state, identity, -1, state->next_stage_id++));
   Table out(node->output_schema);
-  for (auto& t : outputs) {
-    if (t != nullptr) AppendTable(*t, &out);
-  }
+  for (auto& t : outputs) MoveBatches(t.get(), &out);
   return out;
 }
 
@@ -564,8 +626,6 @@ Result<Table> Driver::RunAggregate(const plan::PlanPtr& node,
   const int num_morsels = static_cast<int>(
       SplitMorsels(frag.units, frag.units_per_morsel).size());
   obs::ProfileBuilder* profile = state->profile;
-  StageInfo info;
-  info.stage_id = state->next_stage_id++;
 
   if (num_morsels <= 1) {
     // One morsel: a classic complete aggregate in one task, no merge
@@ -581,9 +641,9 @@ Result<Table> Driver::RunAggregate(const plan::PlanPtr& node,
           std::move(op), keys, node->key_names, aggs, task_ctx,
           AggMode::kComplete)));
     };
-    PHOTON_ASSIGN_OR_RETURN(auto outputs,
-                            RunMorselStage(frag, state, wrap, agg_id, &info));
-    if (state->stages != nullptr) state->stages->push_back(info);
+    PHOTON_ASSIGN_OR_RETURN(
+        auto outputs,
+        RunMorselStage(frag, state, wrap, agg_id, state->next_stage_id++));
     return std::move(*outputs[0]);
   }
 
@@ -602,44 +662,65 @@ Result<Table> Driver::RunAggregate(const plan::PlanPtr& node,
         std::move(op), keys, node->key_names, aggs, task_ctx,
         AggMode::kPartial)));
   };
-  PHOTON_ASSIGN_OR_RETURN(auto outputs,
-                          RunMorselStage(frag, state, wrap, partial_id, &info));
-  if (state->stages != nullptr) state->stages->push_back(info);
+  PHOTON_ASSIGN_OR_RETURN(
+      auto outputs,
+      RunMorselStage(frag, state, wrap, partial_id, state->next_stage_id++));
 
-  // Merge stage: a single task merges every partial's states. Blobs are
-  // concatenated in morsel order, so the merge input — and the output
-  // order — is independent of the thread count.
+  // Final stage: a hash-partitioned merge, the exchange between partial
+  // and final aggregation of §2.2. Partial outputs arrive as
+  // single-partition batches; each partition's batches, in morsel order,
+  // feed one merge task, and the result is the partitions concatenated in
+  // partition order — so rows and order do not depend on the thread
+  // count. A scalar aggregate merges in a single task.
+  const int stage_id = state->next_stage_id++;
   int64_t t0 = NowNs();
-  StageInfo merge_info;
-  merge_info.stage_id = state->next_stage_id++;
-  Table blobs(HashAggregateOperator::PartialOutputSchema());
+  if (profile != nullptr) profile->SetStage(final_id, stage_id);
+  const int num_parts =
+      keys.empty() ? 1 : HashAggregateOperator::kNumPartitions;
+  std::vector<Table> inputs;
+  inputs.reserve(num_parts);
+  for (int p = 0; p < num_parts; p++) {
+    inputs.emplace_back(HashAggregateOperator::PartialOutputSchema());
+  }
   for (auto& t : outputs) {
-    if (t != nullptr) AppendTable(*t, &blobs);
-  }
-  ExecContext merge_ctx = state->ctx;
-  merge_ctx.task_group = NextTaskGroup();
-  merge_ctx.spill_prefix = state->ctx.spill_prefix + "/s" +
-                           std::to_string(info.stage_id) + "-merge";
-  HashAggregateOperator merge(OperatorPtr(new InMemoryScanOperator(&blobs)),
-                              keys, node->key_names, aggs, merge_ctx,
-                              AggMode::kFinalMerge);
-  Result<Table> out = CollectAll(&merge, state->ctx.control);
-  if (profile != nullptr) {
-    profile->SetStage(final_id, merge_info.stage_id);
-    merge.PublishMetrics();
-    profile->TaskShard(final_id, profile->NewTaskId())
-        ->MergeFrom(merge.op_metrics());
-    obs::MetricSet* stage_set = profile->StageSet(merge_info.stage_id);
-    stage_set->MergeResourceFrom(merge.op_metrics());
-    stage_set->Add(obs::Metric::kWallNs, NowNs() - t0);
-    if (out.ok()) {
-      stage_set->Add(obs::Metric::kRowsOut, out->num_rows());
-      stage_set->Add(obs::Metric::kBatches, out->num_batches());
+    for (std::unique_ptr<ColumnBatch>& batch : t->TakeBatches()) {
+      if (batch->num_active() == 0) continue;
+      const int p = keys.empty()
+                        ? 0
+                        : batch->column(0)->data<int32_t>()[batch->ActiveRow(0)];
+      inputs[p].AppendBatch(std::move(batch));
     }
-    merge_info.m = profile->StageSnapshot(merge_info.stage_id);
   }
-  merge_info.num_tasks = 1;
-  if (state->stages != nullptr) state->stages->push_back(merge_info);
+  outputs.clear();
+
+  std::vector<std::unique_ptr<Table>> parts(num_parts);
+  auto merge_partition = [&](int p, int64_t task_id) -> Status {
+    obs::TraceSpan span("agg_merge", p);
+    int64_t cpu0 = profile != nullptr ? obs::ThreadCpuNs() : 0;
+    // Each merge task is its own memory task group with its own spill
+    // namespace, like a morsel task.
+    ExecContext merge_ctx = state->ctx;
+    merge_ctx.task_group = NextTaskGroup();
+    merge_ctx.spill_prefix = state->ctx.spill_prefix + "/s" +
+                             std::to_string(stage_id) + "-p" +
+                             std::to_string(p);
+    HashAggregateOperator merge(
+        OperatorPtr(new InMemoryScanOperator(&inputs[p])), keys,
+        node->key_names, aggs, merge_ctx, AggMode::kFinalMerge);
+    Result<Table> out = CollectAll(&merge, state->ctx.control);
+    inputs[p].TakeBatches();  // the partition's blobs are merged
+    if (profile != nullptr) {
+      RecordTask(state, stage_id, task_id, {{&merge, final_id}}, cpu0, out);
+    }
+    PHOTON_RETURN_NOT_OK(out.status());
+    parts[p] = std::make_unique<Table>(std::move(*out));
+    return Status::OK();
+  };
+  PHOTON_ASSIGN_OR_RETURN(int num_tasks,
+                          RunTasks(num_parts, stage_id, state, merge_partition));
+  FinishStage(state, stage_id, num_tasks, t0);
+  Table out(parts[0]->schema());
+  for (auto& t : parts) MoveBatches(t.get(), &out);
   return out;
 }
 
@@ -650,8 +731,6 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
   const int num_morsels = static_cast<int>(
       SplitMorsels(frag.units, frag.units_per_morsel).size());
   obs::ProfileBuilder* profile = state->profile;
-  StageInfo info;
-  info.stage_id = state->next_stage_id++;
 
   // One sorted run per morsel; with several morsels a deterministic k-way
   // merge stage sits above the runs (SortMerge <- Sort <- input).
@@ -670,16 +749,15 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
     return Result<OperatorPtr>(OperatorPtr(
         new SortOperator(std::move(op), node->sort_keys, task_ctx)));
   };
-  PHOTON_ASSIGN_OR_RETURN(auto outputs,
-                          RunMorselStage(frag, state, wrap, sort_id, &info));
-  if (state->stages != nullptr) state->stages->push_back(info);
+  PHOTON_ASSIGN_OR_RETURN(
+      auto outputs,
+      RunMorselStage(frag, state, wrap, sort_id, state->next_stage_id++));
   if (outputs.size() == 1) return std::move(*outputs[0]);
 
   // Merge stage: deterministic k-way merge of the runs (ties resolve to
   // the lowest morsel index).
   int64_t t0 = NowNs();
-  StageInfo merge_info;
-  merge_info.stage_id = state->next_stage_id++;
+  const int merge_stage = state->next_stage_id++;
   // Breaker-barrier cancellation point: don't start a k-way merge for a
   // query that was cancelled while its runs were sorting.
   PHOTON_RETURN_NOT_OK(CheckAlive(state->ctx));
@@ -694,27 +772,24 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
   if (profile != nullptr) {
     // MergeSortedRuns is a free function, not an Operator: record its
     // contribution into the SortMerge node by hand.
-    profile->SetStage(sort_merge_id, merge_info.stage_id);
+    profile->SetStage(sort_merge_id, merge_stage);
     obs::MetricSet* shard =
         profile->TaskShard(sort_merge_id, profile->NewTaskId());
     shard->Add(obs::Metric::kWallNs, NowNs() - t0);
-    obs::MetricSet* stage_set = profile->StageSet(merge_info.stage_id);
-    stage_set->Add(obs::Metric::kWallNs, NowNs() - t0);
+    obs::MetricSet* stage_set = profile->StageSet(merge_stage);
     if (merged.ok()) {
       shard->Add(obs::Metric::kRowsOut, merged->num_rows());
       shard->Add(obs::Metric::kBatches, merged->num_batches());
       stage_set->Add(obs::Metric::kRowsOut, merged->num_rows());
       stage_set->Add(obs::Metric::kBatches, merged->num_batches());
     }
-    merge_info.m = profile->StageSnapshot(merge_info.stage_id);
   }
-  merge_info.num_tasks = 1;
-  if (state->stages != nullptr) state->stages->push_back(merge_info);
+  FinishStage(state, merge_stage, 1, t0);
   return merged;
 }
 
 // ---------------------------------------------------------------------------
-// Single-task + shuffle entry points
+// Single-task entry point
 // ---------------------------------------------------------------------------
 
 Result<Table> Driver::RunSingleTask(const plan::PlanPtr& plan,
@@ -739,104 +814,6 @@ Result<Table> Driver::RunSingleTask(const plan::PlanPtr& plan,
     }
   }
   return result;
-}
-
-Result<Table> Driver::RunShuffledAggregate(
-    const Table& input, std::vector<ExprPtr> keys,
-    std::vector<std::string> key_names, std::vector<AggregateSpec> aggs,
-    int num_partitions, std::vector<StageInfo>* stages) {
-  std::string shuffle_id = "driver-" + std::to_string(g_next_shuffle_id.fetch_add(1));
-  // Any early return below (failed map task, failed reduce task) must
-  // still clean up whatever blocks were written.
-  ShuffleGuard guard(shuffle_id);
-
-  // ---- Stage 1: map tasks write the shuffle ------------------------------
-  int64_t t0 = NowNs();
-  int num_map_tasks =
-      std::min(num_threads(), std::max(1, input.num_batches()));
-  int batches_per_task =
-      (input.num_batches() + num_map_tasks - 1) / std::max(1, num_map_tasks);
-  std::vector<std::future<Status>> map_futures;
-  for (int t = 0; t < num_map_tasks; t++) {
-    int begin = t * batches_per_task;
-    int end = std::min(input.num_batches(), begin + batches_per_task);
-    if (begin >= end) break;
-    map_futures.push_back(SubmitTask([&, t, begin, end]() -> Status {
-      ShuffleOptions options;
-      options.num_partitions = num_partitions;
-      options.writer_id = t;
-      auto write = std::make_unique<ShuffleWriteOperator>(
-          std::make_unique<TableSliceScan>(&input, begin, end), keys,
-          shuffle_id, options);
-      PHOTON_RETURN_NOT_OK(write->Open());
-      PHOTON_ASSIGN_OR_RETURN(ColumnBatch * sink, write->GetNext());
-      PHOTON_CHECK(sink == nullptr);
-      return Status::OK();
-    }));
-  }
-  Status map_status = Status::OK();
-  {
-    obs::TraceSpan barrier("stage_barrier", 0);
-    for (auto& f : map_futures) {
-      Status s = f.get();  // join every task before returning an error
-      if (map_status.ok() && !s.ok()) map_status = s;
-    }
-  }
-  PHOTON_RETURN_NOT_OK(map_status);
-  int64_t t1 = NowNs();
-  if (stages != nullptr) {
-    StageInfo map_stage;
-    map_stage.stage_id = 0;
-    map_stage.num_tasks = static_cast<int>(map_futures.size());
-    map_stage.m[obs::Metric::kRowsOut] = input.num_rows();
-    map_stage.m[obs::Metric::kShuffleBytes] = ShuffleDataBytes(shuffle_id);
-    map_stage.m[obs::Metric::kWallNs] = t1 - t0;
-    stages->push_back(map_stage);
-  }
-
-  // ---- Stage 2: reduce tasks aggregate partitions ------------------------
-  // (Stage boundary is blocking: stage 2 starts only after every map task
-  // finished, §2.2.)
-  std::vector<std::future<Result<Table>>> reduce_futures;
-  for (int p = 0; p < num_partitions; p++) {
-    reduce_futures.push_back(SubmitTask([&, p]() -> Result<Table> {
-      auto read = std::make_unique<ShuffleReadOperator>(input.schema(),
-                                                        shuffle_id, p);
-      auto agg = std::make_unique<HashAggregateOperator>(
-          std::move(read), keys, key_names, aggs);
-      return CollectAll(agg.get());
-    }));
-  }
-
-  Table out(plan::Aggregate(plan::Scan(&input), keys, key_names, aggs)
-                ->output_schema);
-  int64_t rows = 0;
-  Status reduce_status = Status::OK();
-  {
-    obs::TraceSpan barrier("stage_barrier", 1);
-    for (auto& f : reduce_futures) {
-      Result<Table> part = f.get();
-      if (!part.ok()) {
-        if (reduce_status.ok()) reduce_status = part.status();
-        continue;
-      }
-      rows += part->num_rows();
-      for (int b = 0; b < part->num_batches(); b++) {
-        out.AppendBatch(CompactBatch(part->batch(b)));
-      }
-    }
-  }
-  PHOTON_RETURN_NOT_OK(reduce_status);
-  int64_t t2 = NowNs();
-  if (stages != nullptr) {
-    StageInfo reduce_stage;
-    reduce_stage.stage_id = 1;
-    reduce_stage.num_tasks = num_partitions;
-    reduce_stage.m[obs::Metric::kRowsOut] = rows;
-    reduce_stage.m[obs::Metric::kWallNs] = t2 - t1;
-    stages->push_back(reduce_stage);
-  }
-  return out;
 }
 
 }  // namespace exec

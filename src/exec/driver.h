@@ -14,7 +14,7 @@
 #include "exec/thread_pool.h"
 #include "obs/profile.h"
 #include "ops/hash_aggregate.h"
-#include "ops/shuffle.h"
+#include "ops/hash_join.h"
 #include "plan/logical_plan.h"
 #include "plan/stage_planner.h"
 
@@ -84,12 +84,16 @@ class Driver {
   /// split into morsels — fixed-size table batch ranges, or file ranges
   /// for lakehouse scans — which worker tasks claim from a shared atomic
   /// queue. Pipeline breakers execute parallelism-aware:
-  ///   - aggregates run one partial aggregate per morsel and a final
-  ///     merge stage over the serialized states (exact for every kind);
-  ///   - joins build their hash table once and probe it from all tasks;
+  ///   - aggregates run one partial aggregate per morsel, then a final
+  ///     merge stage with one task per hash partition of the serialized
+  ///     states (exact for every kind; scalar aggregates merge in one
+  ///     task);
+  ///   - joins build their hash table once, in a build stage whose tasks
+  ///     hash build morsels and then fill one table partition each, and
+  ///     probe it from all tasks;
   ///   - sorts produce one sorted run per morsel, k-way merged at the
   ///     stage boundary.
-  /// The morsel decomposition depends only on the input, so the result
+  /// Morsel and partition counts depend only on the input, so the result
   /// table (rows *and* row order) is identical for every thread count.
   ///
   /// Observability: when `stages` is non-null one StageInfo per executed
@@ -100,19 +104,6 @@ class Driver {
   Result<Table> Run(const plan::PlanPtr& plan, ExecContext ctx = {},
                     std::vector<StageInfo>* stages = nullptr,
                     obs::QueryProfile* profile = nullptr);
-
-  /// Two-stage distributed aggregation:
-  ///   Stage 1 (map):    split the input into one task per executor
-  ///                     thread; each task pipes its slice through a
-  ///                     Photon shuffle write hash-partitioned by `keys`.
-  ///   Stage 2 (reduce): one task per partition aggregates its partition.
-  /// Results are concatenated (order unspecified).
-  Result<Table> RunShuffledAggregate(const Table& input,
-                                     std::vector<ExprPtr> keys,
-                                     std::vector<std::string> key_names,
-                                     std::vector<AggregateSpec> aggs,
-                                     int num_partitions,
-                                     std::vector<StageInfo>* stages = nullptr);
 
   /// Runs a single-task (single-threaded) Photon plan, like one task of a
   /// stage (Figure 1: "Photon executes tasks on partitions of data on a
@@ -140,6 +131,8 @@ class Driver {
   /// (operator, profile node) pairs harvested into task shards after a
   /// morsel chain is drained.
   using Harvest = std::vector<std::pair<Operator*, int>>;
+  /// One unit of a stage's work: (item index, profile task id).
+  using TaskFn = std::function<Status(int, int64_t)>;
 
   Result<Table> RunNode(const plan::PlanPtr& node, RunState* state,
                         int parent_node);
@@ -155,9 +148,29 @@ class Driver {
                                           Morsel morsel,
                                           const ExecContext& task_ctx,
                                           Harvest* harvest);
+  /// Runs one stage over its morsels and records it as stage `stage_id`.
   Result<std::vector<std::unique_ptr<Table>>> RunMorselStage(
       const StagedFragment& frag, RunState* state, const WrapFn& wrap,
-      int wrap_node_id, StageInfo* info);
+      int wrap_node_id, int stage_id);
+  /// Materializes a join's build side and hashes it in a build stage of
+  /// its own (PartitionedJoinBuild's two phases).
+  Result<JoinBuildPtr> RunJoinBuild(const plan::PlanNode& join,
+                                    RunState* state, int join_node);
+  /// Runs fn(item, task_id) for every item in [0, num_items) on the
+  /// workers — min(threads, items) claim loops, or one scheduler task per
+  /// item in service mode — joining every task before returning the first
+  /// error. Returns the task count.
+  Result<int> RunTasks(int num_items, int stage_id, RunState* state,
+                       const TaskFn& fn);
+  /// Folds a finished task's operators into the profile: task shards per
+  /// node, the stage's resource totals, CPU time since `cpu0`, and (on
+  /// success) its output's rows and batches.
+  void RecordTask(RunState* state, int stage_id, int64_t task_id,
+                  const Harvest& harvest, int64_t cpu0,
+                  const Result<Table>& out);
+  /// Appends stage `stage_id`'s StageInfo (task count, wall time since
+  /// `t0`, merged metrics) to the run's stage list.
+  void FinishStage(RunState* state, int stage_id, int num_tasks, int64_t t0);
 
   /// Submits a worker task: to the shared scheduler's per-query queue in
   /// service mode, else to the owned pool.

@@ -1,5 +1,6 @@
 #include "ht/vectorized_hash_table.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/hash.h"
@@ -285,6 +286,16 @@ void VectorizedHashTable::Lookup(const std::vector<const ColumnVector*>& keys,
                                  const ColumnBatch& batch,
                                  const uint64_t* hashes, uint8_t** entries_out,
                                  ProbeScratch* scratch) const {
+  const VectorizedHashTable* self = this;
+  ProbeBatch(&self, 0, keys, batch, hashes, entries_out, scratch);
+}
+
+void VectorizedHashTable::ProbeBatch(
+    const VectorizedHashTable* const* tables, int partition_bits,
+    const std::vector<const ColumnVector*>& keys, const ColumnBatch& batch,
+    const uint64_t* hashes, uint8_t** entries_out, ProbeScratch* scratch) {
+  // All partitions share one entry layout, so any of them compares keys.
+  const VectorizedHashTable& layout = *tables[0];
   int n = batch.num_active();
   // Remaining: dense indices (into the active set) still probing.
   scratch->remaining.resize(n);
@@ -293,7 +304,7 @@ void VectorizedHashTable::Lookup(const std::vector<const ColumnVector*>& keys,
   for (int i = 0; i < n; i++) {
     entries_out[i] = nullptr;
     int row = batch.ActiveRow(i);
-    if (!match_null_keys_) {
+    if (!layout.match_null_keys_) {
       bool any_null = false;
       for (const ColumnVector* col : keys) any_null |= col->IsNull(row);
       if (any_null) continue;  // NULL never matches under join semantics
@@ -308,11 +319,13 @@ void VectorizedHashTable::Lookup(const std::vector<const ColumnVector*>& keys,
     // overlap the misses (§4.4). The candidate loads are independent.
     for (int j = 0; j < num_remaining; j++) {
       int i = scratch->remaining[j];
+      const VectorizedHashTable& table =
+          *tables[PartitionOf(hashes[i], partition_bits)];
       int step = scratch->steps[i];
       uint64_t slot =
           (hashes[i] + (static_cast<uint64_t>(step) * (step + 1)) / 2) &
-          bucket_mask_;
-      candidates[j] = buckets_[slot];
+          table.bucket_mask_;
+      candidates[j] = table.buckets_[slot];
     }
     // Compare kernel: keep only mismatching, still-occupied slots.
     int next_remaining = 0;
@@ -321,7 +334,7 @@ void VectorizedHashTable::Lookup(const std::vector<const ColumnVector*>& keys,
       uint8_t* entry = candidates[j];
       if (entry == nullptr) continue;  // definitive miss
       int row = batch.ActiveRow(i);
-      if (EntryMatchesRow(entry, hashes[i], keys, row)) {
+      if (layout.EntryMatchesRow(entry, hashes[i], keys, row)) {
         entries_out[i] = entry;
       } else {
         scratch->steps[i]++;
@@ -336,14 +349,6 @@ Status VectorizedHashTable::LookupOrInsert(
     const std::vector<const ColumnVector*>& keys, const ColumnBatch& batch,
     const uint64_t* hashes, uint8_t** entries_out, bool* inserted_out) {
   int n = batch.num_active();
-  // Insertion must be sequential w.r.t. duplicate keys within the batch, so
-  // resolve rows in order, but the fast path (found or empty at step 0) is
-  // still the common case and stays batched via Lookup semantics.
-  for (int i = 0; i < n; i++) {
-    entries_out[i] = nullptr;
-    inserted_out[i] = false;
-  }
-
   // Grow until the batch's worst-case insert count fits under the load
   // factor (a single batch can exceed one doubling).
   while ((num_entries_ + n) >
@@ -351,37 +356,60 @@ Status VectorizedHashTable::LookupOrInsert(
     Grow();
   }
 
+  // Insertion must be sequential w.r.t. duplicate keys within the batch,
+  // so rows resolve in order.
   for (int i = 0; i < n; i++) {
+    entries_out[i] = nullptr;
+    inserted_out[i] = false;
     int row = batch.ActiveRow(i);
     if (!match_null_keys_) {
       bool any_null = false;
       for (const ColumnVector* col : keys) any_null |= col->IsNull(row);
       if (any_null) continue;
     }
-    uint64_t hash = hashes[i];
-    int step = 0;
-    while (true) {
-      uint64_t slot =
-          (hash + (static_cast<uint64_t>(step) * (step + 1)) / 2) &
-          bucket_mask_;
-      uint8_t* entry = buckets_[slot];
-      if (entry == nullptr) {
-        entry = AllocateEntry();
-        CopyKeysToEntry(keys, row, hash, entry);
-        buckets_[slot] = entry;
-        num_entries_++;
-        entries_out[i] = entry;
-        inserted_out[i] = true;
-        break;
-      }
-      if (EntryMatchesRow(entry, hash, keys, row)) {
-        entries_out[i] = entry;
-        break;
-      }
-      step++;
-    }
+    entries_out[i] = FindOrInsert(keys, row, hashes[i], &inserted_out[i]);
   }
   return Status::OK();
+}
+
+uint8_t* VectorizedHashTable::FindOrInsert(
+    const std::vector<const ColumnVector*>& keys, int row, uint64_t hash,
+    bool* inserted) {
+  if (num_entries_ + 1 >
+      static_cast<int64_t>(buckets_.size() * kMaxLoadFactor)) {
+    Grow();
+  }
+  int step = 0;
+  while (true) {
+    uint64_t slot =
+        (hash + (static_cast<uint64_t>(step) * (step + 1)) / 2) & bucket_mask_;
+    uint8_t* entry = buckets_[slot];
+    if (entry == nullptr) {
+      entry = AllocateEntry();
+      CopyKeysToEntry(keys, row, hash, entry);
+      buckets_[slot] = entry;
+      num_entries_++;
+      *inserted = true;
+      return entry;
+    }
+    if (EntryMatchesRow(entry, hash, keys, row)) {
+      *inserted = false;
+      return entry;
+    }
+    step++;
+  }
+}
+
+void VectorizedHashTable::Presize(int64_t entries) {
+  PHOTON_CHECK(num_entries_ == 0);
+  size_t buckets = 16;
+  while (static_cast<double>(entries) > buckets * kMaxLoadFactor) {
+    buckets *= 2;
+  }
+  buckets_.assign(buckets, nullptr);
+  bucket_mask_ = buckets - 1;
+  chunk_capacity_ = static_cast<int>(std::clamp<int64_t>(
+      entries, 1, static_cast<int64_t>(chunk_capacity_)));
 }
 
 uint8_t* VectorizedHashTable::InsertChained(uint8_t* head) {
@@ -493,6 +521,38 @@ void VectorizedHashTable::Clear() {
   chunks_.clear();
   chunk_used_ = 0;
   strings_.Reset();
+}
+
+PartitionedHashTable::PartitionedHashTable(
+    int partition_bits, const std::vector<DataType>& key_types,
+    int payload_bytes, bool match_null_keys)
+    : partition_bits_(partition_bits) {
+  PHOTON_CHECK(partition_bits >= 0 && partition_bits <= 16);
+  for (int p = 0; p < (1 << partition_bits); p++) {
+    parts_.push_back(std::make_unique<VectorizedHashTable>(
+        key_types, payload_bytes, match_null_keys));
+    views_.push_back(parts_.back().get());
+  }
+}
+
+void PartitionedHashTable::Lookup(
+    const std::vector<const ColumnVector*>& keys, const ColumnBatch& batch,
+    const uint64_t* hashes, uint8_t** entries_out,
+    VectorizedHashTable::ProbeScratch* scratch) const {
+  VectorizedHashTable::ProbeBatch(views_.data(), partition_bits_, keys, batch,
+                                  hashes, entries_out, scratch);
+}
+
+int64_t PartitionedHashTable::num_entries() const {
+  int64_t n = 0;
+  for (const auto& part : parts_) n += part->num_entries();
+  return n;
+}
+
+int64_t PartitionedHashTable::memory_bytes() const {
+  int64_t bytes = 0;
+  for (const auto& part : parts_) bytes += part->memory_bytes();
+  return bytes;
 }
 
 }  // namespace photon

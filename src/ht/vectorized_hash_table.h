@@ -32,6 +32,10 @@ namespace photon {
 /// `next` chains duplicate-key entries (used by hash join builds). Growing
 /// the bucket array re-buckets pointers by stored hash — entries are never
 /// copied (the paper notes "avoiding copies during hash table resizing").
+///
+/// The bucket index uses the low hash bits; the top bits are left to
+/// partitioning (PartitionOf), so the rows of one partition still spread
+/// over all of its table's buckets.
 class VectorizedHashTable {
  public:
   /// `payload_bytes` is the caller-defined state area per entry (aggregate
@@ -48,6 +52,14 @@ class VectorizedHashTable {
   /// for the batch's active rows, densely into `hashes[0..num_active)`.
   static void HashKeys(const std::vector<const ColumnVector*>& keys,
                        const ColumnBatch& batch, uint64_t* hashes);
+
+  /// Partition of a hash among 2^`partition_bits` partitions: its top bits,
+  /// which no bucket index uses.
+  static int PartitionOf(uint64_t hash, int partition_bits) {
+    return partition_bits == 0
+               ? 0
+               : static_cast<int>(hash >> (64 - partition_bits));
+  }
 
   /// Reusable per-caller scratch for the batched probe loop, so concurrent
   /// probers (parallel hash-join tasks) can share one read-only table.
@@ -78,10 +90,27 @@ class VectorizedHashTable {
                         const ColumnBatch& batch, const uint64_t* hashes,
                         uint8_t** entries_out, bool* inserted_out);
 
+  /// Single-row LookupOrInsert for a row with known `hash` (the caller
+  /// filters NULL keys under join semantics). Never grows a table sized
+  /// for its final entry count by Presize.
+  uint8_t* FindOrInsert(const std::vector<const ColumnVector*>& keys,
+                        int row, uint64_t hash, bool* inserted);
+
   /// Inserts a duplicate-key entry chained behind `head` (hash join
   /// builds). Keys are copied from the head entry; returns the new entry
   /// whose payload the caller fills.
   uint8_t* InsertChained(uint8_t* head);
+
+  /// Sizes an empty table for `entries` entries (chained duplicates
+  /// included) so that inserting them never grows it; small tables also
+  /// get entry chunks no larger than they need.
+  void Presize(int64_t entries);
+
+  /// Starts loading the first bucket `hash` probes, ahead of a
+  /// FindOrInsert for it.
+  void PrefetchBucket(uint64_t hash) const {
+    __builtin_prefetch(&buckets_[hash & bucket_mask_]);
+  }
 
   /// Entry accessors -------------------------------------------------------
 
@@ -137,6 +166,8 @@ class VectorizedHashTable {
   VarLenPool* string_arena() { return &strings_; }
 
  private:
+  friend class PartitionedHashTable;
+
   static constexpr int kHashOffset = 0;
   static constexpr int kNullMaskOffset = 8;
   static constexpr int kNextOffset = 16;
@@ -151,6 +182,13 @@ class VectorizedHashTable {
                        const std::vector<const ColumnVector*>& keys,
                        int row) const;
   void Grow();
+  /// The batched probe behind both Lookup()s: row i probes
+  /// tables[PartitionOf(hashes[i], partition_bits)].
+  static void ProbeBatch(const VectorizedHashTable* const* tables,
+                         int partition_bits,
+                         const std::vector<const ColumnVector*>& keys,
+                         const ColumnBatch& batch, const uint64_t* hashes,
+                         uint8_t** entries_out, ProbeScratch* scratch);
 
   std::vector<DataType> key_types_;
   std::vector<int> key_offsets_;
@@ -173,6 +211,41 @@ class VectorizedHashTable {
   // Scratch for the batched probe loop.
   std::vector<int32_t> scratch_remaining_;
   std::vector<int32_t> scratch_steps_;
+};
+
+/// A hash table split into 2^partition_bits independent
+/// VectorizedHashTables by the top bits of the key hash, so each partition
+/// can be built by its own task, while a probe still addresses the whole
+/// table with one batched Lookup: each row goes to the partition its hash
+/// selects. Entries of all partitions share one layout.
+class PartitionedHashTable {
+ public:
+  PartitionedHashTable(int partition_bits,
+                       const std::vector<DataType>& key_types,
+                       int payload_bytes, bool match_null_keys);
+
+  int num_partitions() const { return static_cast<int>(parts_.size()); }
+  VectorizedHashTable* partition(int p) { return parts_[p].get(); }
+
+  /// Thread-safe batched probe across partitions (see
+  /// VectorizedHashTable::Lookup with scratch).
+  void Lookup(const std::vector<const ColumnVector*>& keys,
+              const ColumnBatch& batch, const uint64_t* hashes,
+              uint8_t** entries_out,
+              VectorizedHashTable::ProbeScratch* scratch) const;
+
+  uint8_t* payload(uint8_t* entry) const { return parts_[0]->payload(entry); }
+  const uint8_t* payload(const uint8_t* entry) const {
+    return parts_[0]->payload(entry);
+  }
+  int num_keys() const { return parts_[0]->num_keys(); }
+  int64_t num_entries() const;
+  int64_t memory_bytes() const;
+
+ private:
+  int partition_bits_;
+  std::vector<std::unique_ptr<VectorizedHashTable>> parts_;
+  std::vector<const VectorizedHashTable*> views_;  // parts_, for ProbeBatch
 };
 
 }  // namespace photon

@@ -1,5 +1,6 @@
 #include "ops/hash_aggregate.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace photon {
@@ -62,13 +63,25 @@ Status ReadKeyIntoVector(const DataType& type, BinaryReader* in,
     case TypeId::kDecimal128:
       return in->ReadRaw(&vec->data<int128_t>()[row], 16);
     case TypeId::kString: {
-      std::string s;
-      PHOTON_RETURN_NOT_OK(in->ReadString(&s));
-      vec->SetString(row, s);
+      // Zero-copy: the ref points into the serialized bytes, which outlive
+      // the merge; inserting the key copies it into the table's arena.
+      uint64_t len = 0;
+      const uint8_t* bytes = nullptr;
+      PHOTON_RETURN_NOT_OK(in->ReadVarU64(&len));
+      PHOTON_RETURN_NOT_OK(in->ReadSpan(len, &bytes));
+      vec->SetStringRef(row, StringRef(reinterpret_cast<const char*>(bytes),
+                                       static_cast<int32_t>(len)));
       return Status::OK();
     }
   }
   return Status::Internal("bad key type");
+}
+
+/// Final-merge partition of a hash table entry, from its stored hash.
+int MergePartitionOf(const uint8_t* entry) {
+  return VectorizedHashTable::PartitionOf(
+      VectorizedHashTable::entry_hash(entry),
+      HashAggregateOperator::kPartitionBits);
 }
 
 /// Writes a hash table key column into an output vector (typed, no boxing).
@@ -135,6 +148,7 @@ Schema HashAggregateOperator::MakeOutputSchema(
 
 Schema HashAggregateOperator::PartialOutputSchema() {
   Schema schema;
+  schema.AddField(Field("partition", DataType::Int32()));
   schema.AddField(Field("agg_state", DataType::String()));
   return schema;
 }
@@ -171,6 +185,8 @@ HashAggregateOperator::HashAggregateOperator(
 }
 
 HashAggregateOperator::~HashAggregateOperator() {
+  // A task that failed before Close() still owns its spill files.
+  DeleteSpillFiles();
   if (exec_ctx_.memory_manager != nullptr) {
     exec_ctx_.memory_manager->Release(this, reserved_bytes());
     exec_ctx_.memory_manager->UnregisterConsumer(this);
@@ -201,7 +217,6 @@ Status HashAggregateOperator::Open() {
   emit_pos_ = 0;
   partial_spill_stream_.clear();
   partial_spill_pos_ = 0;
-  partial_prepared_ = false;
   return Status::OK();
 }
 
@@ -211,13 +226,18 @@ int64_t HashAggregateOperator::CurrentMemoryBytes() const {
   return bytes;
 }
 
+Status HashAggregateOperator::Reserve(int64_t bytes) {
+  Status st = exec_ctx_.memory_manager->Reserve(this, bytes);
+  if (st.ok()) reserved_for_data_ += bytes;
+  PHOTON_RETURN_NOT_OK(spill_status_);
+  return st;
+}
+
 Status HashAggregateOperator::ReserveForDelta() {
   if (exec_ctx_.memory_manager == nullptr) return Status::OK();
   int64_t actual = CurrentMemoryBytes();
   if (actual > reserved_for_data_) {
-    int64_t delta = actual - reserved_for_data_;
-    PHOTON_RETURN_NOT_OK(exec_ctx_.memory_manager->Reserve(this, delta));
-    reserved_for_data_ += delta;
+    PHOTON_RETURN_NOT_OK(Reserve(actual - reserved_for_data_));
   }
   return Status::OK();
 }
@@ -254,9 +274,8 @@ Status HashAggregateOperator::ProcessBatch(ColumnBatch* batch) {
   // Reservation phase (§5.3): acquire memory for this batch's worst-case
   // growth before touching the table; spilling can only happen here.
   if (exec_ctx_.memory_manager != nullptr) {
-    int64_t estimate = static_cast<int64_t>(n) * (payload_bytes_ + 96);
-    PHOTON_RETURN_NOT_OK(exec_ctx_.memory_manager->Reserve(this, estimate));
-    reserved_for_data_ += estimate;
+    PHOTON_RETURN_NOT_OK(
+        Reserve(static_cast<int64_t>(n) * (payload_bytes_ + 96)));
   }
 
   // Allocation phase: evaluate keys, probe/insert, update states.
@@ -311,16 +330,34 @@ Status HashAggregateOperator::ConsumeInput() {
   }
   input_consumed_ = true;
 
-  if (!scalar_mode_ && spill_seq_ > 0 && table_->num_entries() > 0) {
+  if (scalar_mode_) return Status::OK();
+  if (spill_seq_ > 0 && table_->num_entries() > 0) {
     // Some groups already went to disk: the in-memory remainder must be
     // spilled too so each partition can be merged exactly once.
     Spill(INT64_MAX);
+    PHOTON_RETURN_NOT_OK(spill_status_);
   }
-  if (!scalar_mode_ && spill_seq_ == 0) {
-    emit_entries_.clear();
-    table_->ForEachEntry(
-        [&](uint8_t* entry) { emit_entries_.push_back(entry); });
-    emit_pos_ = 0;
+  if (spill_seq_ > 0) {
+    if (mode_ == AggMode::kPartial) {
+      for (int p = 0; p < kSpillPartitions; p++) {
+        for (const std::string& key : spill_keys_[p]) {
+          partial_spill_stream_.emplace_back(p, key);
+        }
+      }
+    }
+    return Status::OK();
+  }
+  emit_entries_.clear();
+  table_->ForEachEntry(
+      [&](uint8_t* entry) { emit_entries_.push_back(entry); });
+  emit_pos_ = 0;
+  if (mode_ == AggMode::kPartial) {
+    // Group by final-merge partition, so blobs (and output batches) never
+    // mix partitions.
+    std::stable_sort(emit_entries_.begin(), emit_entries_.end(),
+                     [](const uint8_t* a, const uint8_t* b) {
+                       return MergePartitionOf(a) < MergePartitionOf(b);
+                     });
   }
   return Status::OK();
 }
@@ -336,15 +373,24 @@ void HashAggregateOperator::SerializeEntry(const uint8_t* entry,
   }
 }
 
+int HashAggregateOperator::SpillPartitionOf(uint64_t hash) const {
+  // kPartial spills by final-merge partition, so its spilled blocks stream
+  // out already routed; a kFinalMerge task holds one merge partition, so it
+  // splits on the next hash bits down.
+  if (mode_ == AggMode::kFinalMerge) hash <<= kPartitionBits;
+  return VectorizedHashTable::PartitionOf(hash, kPartitionBits);
+}
+
 int64_t HashAggregateOperator::Spill(int64_t /*requested*/) {
-  if (scalar_mode_ || table_ == nullptr || table_->num_entries() == 0) {
+  if (scalar_mode_ || table_ == nullptr || table_->num_entries() == 0 ||
+      !spill_status_.ok()) {
     return 0;
   }
   std::vector<BinaryWriter> writers(kSpillPartitions);
   table_->ForEachEntry([&](uint8_t* entry) {
-    int p = static_cast<int>(VectorizedHashTable::entry_hash(entry) %
-                             kSpillPartitions);
-    SerializeEntry(entry, &writers[p]);
+    SerializeEntry(entry,
+                   &writers[SpillPartitionOf(
+                       VectorizedHashTable::entry_hash(entry))]);
   });
   int64_t written = 0;
   for (int p = 0; p < kSpillPartitions; p++) {
@@ -353,7 +399,12 @@ int64_t HashAggregateOperator::Spill(int64_t /*requested*/) {
                       "-" + std::to_string(spill_seq_);
     written += static_cast<int64_t>(writers[p].size());
     Status st = ObjectStore::Default().Put(key, writers[p].ToString());
-    PHOTON_CHECK(st.ok());
+    if (!st.ok()) {
+      // Nothing is freed; blocks already written are deleted with the
+      // operator's other spill files.
+      spill_status_ = st;
+      return 0;
+    }
     spill_keys_[p].push_back(key);
   }
   spill_seq_++;
@@ -373,12 +424,13 @@ int64_t HashAggregateOperator::Spill(int64_t /*requested*/) {
 Status HashAggregateOperator::MergeBlobBatch(ColumnBatch* batch) {
   int n = batch->num_active();
   if (n == 0) return Status::OK();
-  PHOTON_CHECK(batch->num_columns() == 1 &&
-               batch->column(0)->type().id() == TypeId::kString);
-  const StringRef* blobs = batch->column(0)->data<StringRef>();
+  PHOTON_CHECK(batch->num_columns() == 2 &&
+               batch->column(1)->type().id() == TypeId::kString);
+  const ColumnVector& blob_col = *batch->column(1);
+  const StringRef* blobs = blob_col.data<StringRef>();
   for (int i = 0; i < n; i++) {
     int row = batch->ActiveRow(i);
-    if (batch->column(0)->IsNull(row)) continue;
+    if (blob_col.IsNull(row)) continue;
     StringRef blob = blobs[row];
     std::string_view bytes(blob.data, static_cast<size_t>(blob.len));
     if (scalar_mode_) {
@@ -394,54 +446,132 @@ Status HashAggregateOperator::MergeBlobBatch(ColumnBatch* batch) {
                         temp_state.data());
       }
     } else {
-      PHOTON_RETURN_NOT_OK(MergeSpillBlock(bytes));
-      PHOTON_RETURN_NOT_OK(ReserveForDelta());
+      PHOTON_RETURN_NOT_OK(MergeSpillBlock(bytes, /*reserve=*/true));
     }
   }
   return Status::OK();
 }
 
-Status HashAggregateOperator::MergeSpillBlock(std::string_view bytes) {
-  BinaryReader reader(bytes);
-  // One-row staging batch used to re-probe the table with deserialized keys.
-  Schema key_schema;
-  for (size_t k = 0; k < keys_.size(); k++) {
-    key_schema.AddField(Field("k" + std::to_string(k), keys_[k]->type()));
+Status HashAggregateOperator::MergeSpillBlock(std::string_view bytes,
+                                              bool reserve) {
+  const int capacity = std::min(exec_ctx_.batch_size, kMergeBatchEntries);
+  if (merge_keys_ == nullptr) {
+    Schema key_schema;
+    for (size_t k = 0; k < keys_.size(); k++) {
+      key_schema.AddField(Field("k" + std::to_string(k), keys_[k]->type()));
+    }
+    merge_keys_ = std::make_unique<ColumnBatch>(key_schema, capacity);
+    // 16-aligned stride: states may embed __int128.
+    merge_state_stride_ = (payload_bytes_ + 15) & ~15;
+    merge_states_.resize(static_cast<size_t>(capacity) * merge_state_stride_);
+    merge_arena_ = std::make_unique<VarLenPool>();
   }
-  ColumnBatch staging(key_schema, 1);
+  if (inserted_capacity_ < capacity) {
+    inserted_ = std::make_unique<bool[]>(capacity);
+    inserted_capacity_ = capacity;
+  }
   std::vector<const ColumnVector*> key_vecs;
-  for (int k = 0; k < key_schema.num_fields(); k++) {
-    key_vecs.push_back(staging.column(k));
+  for (int k = 0; k < merge_keys_->num_columns(); k++) {
+    key_vecs.push_back(merge_keys_->column(k));
   }
-  std::vector<uint8_t> temp_state;
-  uint64_t hash = 0;
-  uint8_t* entry = nullptr;
-  bool inserted = false;
+  reserve = reserve && exec_ctx_.memory_manager != nullptr;
 
+  BinaryReader reader(bytes);
   while (reader.remaining() > 0) {
-    staging.Reset();
-    for (int k = 0; k < key_schema.num_fields(); k++) {
-      PHOTON_RETURN_NOT_OK(ReadKeyIntoVector(
-          keys_[k]->type(), &reader, staging.column(k), 0));
+    // Decode up to a batch of entries. Variable-length state decodes into
+    // a scratch arena, so a spill during the reservation below cannot free
+    // it.
+    merge_keys_->Reset();
+    merge_arena_->Reset();
+    for (auto& agg : aggs_) agg->set_arena(merge_arena_.get());
+    Result<int> decoded = DecodeMergeBatch(&reader);
+    for (auto& agg : aggs_) agg->set_arena(arena_.get());
+    PHOTON_ASSIGN_OR_RETURN(int n, decoded);
+    merge_keys_->set_num_rows(n);
+    merge_keys_->SetAllActive();
+
+    // Reservation phase (§5.3) for the batch's worst-case growth, then one
+    // hash, one probe/insert and one merge loop per aggregate.
+    if (reserve) {
+      PHOTON_RETURN_NOT_OK(
+          Reserve(static_cast<int64_t>(n) * (payload_bytes_ + 96)));
     }
-    staging.set_num_rows(1);
-    staging.SetAllActive();
-    VectorizedHashTable::HashKeys(key_vecs, staging, &hash);
-    PHOTON_RETURN_NOT_OK(table_->LookupOrInsert(key_vecs, staging, &hash,
-                                                &entry, &inserted));
-    uint8_t* payload = table_->payload(entry);
-    for (size_t j = 0; j < aggs_.size(); j++) {
-      uint8_t* dst = payload + agg_state_offsets_[j];
-      if (inserted) {
-        aggs_[j]->Init(dst);
+    hashes_.resize(n);
+    entries_.resize(n);
+    VectorizedHashTable::HashKeys(key_vecs, *merge_keys_, hashes_.data());
+    PHOTON_RETURN_NOT_OK(table_->LookupOrInsert(
+        key_vecs, *merge_keys_, hashes_.data(), entries_.data(),
+        inserted_.get()));
+    for (int i = 0; i < n; i++) {
+      if (!inserted_[i]) continue;
+      uint8_t* payload = table_->payload(entries_[i]);
+      for (size_t j = 0; j < aggs_.size(); j++) {
+        aggs_[j]->Init(payload + agg_state_offsets_[j]);
       }
-      temp_state.assign(aggs_[j]->state_bytes(), 0);
-      aggs_[j]->Init(temp_state.data());
-      PHOTON_RETURN_NOT_OK(aggs_[j]->Deserialize(&reader, temp_state.data()));
-      aggs_[j]->Merge(dst, temp_state.data());
     }
+    for (size_t j = 0; j < aggs_.size(); j++) {
+      const int offset = agg_state_offsets_[j];
+      for (int i = 0; i < n; i++) {
+        aggs_[j]->Merge(table_->payload(entries_[i]) + offset,
+                        merge_states_.data() +
+                            static_cast<size_t>(i) * merge_state_stride_ +
+                            offset);
+      }
+    }
+    if (reserve) PHOTON_RETURN_NOT_OK(SettleReservation());
   }
   return Status::OK();
+}
+
+Result<int> HashAggregateOperator::DecodeMergeBatch(BinaryReader* reader) {
+  int n = 0;
+  while (n < merge_keys_->capacity() && reader->remaining() > 0) {
+    for (size_t k = 0; k < keys_.size(); k++) {
+      PHOTON_RETURN_NOT_OK(ReadKeyIntoVector(
+          keys_[k]->type(), reader, merge_keys_->column(static_cast<int>(k)),
+          n));
+    }
+    uint8_t* state =
+        merge_states_.data() + static_cast<size_t>(n) * merge_state_stride_;
+    for (size_t j = 0; j < aggs_.size(); j++) {
+      aggs_[j]->Init(state + agg_state_offsets_[j]);
+      PHOTON_RETURN_NOT_OK(
+          aggs_[j]->Deserialize(reader, state + agg_state_offsets_[j]));
+    }
+    n++;
+  }
+  return n;
+}
+
+Status HashAggregateOperator::SettleReservation() {
+  int64_t actual = CurrentMemoryBytes();
+  if (actual >= reserved_for_data_) return ReserveForDelta();
+  exec_ctx_.memory_manager->Release(this, reserved_for_data_ - actual);
+  reserved_for_data_ = actual;
+  return Status::OK();
+}
+
+void HashAggregateOperator::SortEmitEntries() {
+  auto compare_keys = [&](const uint8_t* a, const uint8_t* b) {
+    for (int k = 0; k < table_->num_keys(); k++) {
+      bool a_null = table_->KeyIsNull(a, k);
+      bool b_null = table_->KeyIsNull(b, k);
+      if (a_null || b_null) {
+        if (a_null != b_null) return a_null ? -1 : 1;
+        continue;
+      }
+      int c = table_->GetKeyValue(a, k).Compare(table_->GetKeyValue(b, k));
+      if (c != 0) return c;
+    }
+    return 0;
+  };
+  std::sort(emit_entries_.begin(), emit_entries_.end(),
+            [&](const uint8_t* a, const uint8_t* b) {
+              uint64_t ha = VectorizedHashTable::entry_hash(a);
+              uint64_t hb = VectorizedHashTable::entry_hash(b);
+              if (ha != hb) return ha < hb;
+              return compare_keys(a, b) < 0;
+            });
 }
 
 Result<bool> HashAggregateOperator::LoadNextSpillPartition() {
@@ -453,11 +583,12 @@ Result<bool> HashAggregateOperator::LoadNextSpillPartition() {
          spill_keys_[current_spill_partition_]) {
       PHOTON_ASSIGN_OR_RETURN(std::string bytes,
                               ObjectStore::Default().Get(key));
-      PHOTON_RETURN_NOT_OK(MergeSpillBlock(bytes));
+      PHOTON_RETURN_NOT_OK(MergeSpillBlock(bytes, /*reserve=*/false));
     }
     emit_entries_.clear();
     table_->ForEachEntry(
         [&](uint8_t* entry) { emit_entries_.push_back(entry); });
+    SortEmitEntries();
     emit_pos_ = 0;
     if (!emit_entries_.empty()) return true;
   }
@@ -492,63 +623,61 @@ ColumnBatch* HashAggregateOperator::EmitFromTable() {
 }
 
 Result<ColumnBatch*> HashAggregateOperator::EmitPartial() {
-  // Each output row is one blob of serialized (key, state) entries — the
-  // same wire format as the spill files, so spilled partial state is
-  // streamed out raw without being re-merged in memory.
+  // Each output row is one blob of serialized (key, state) entries of one
+  // partition — the same wire format as the spill files, so spilled partial
+  // state is streamed out raw without being re-merged in memory. A batch
+  // ends where the partition changes.
   constexpr int kEntriesPerBlob = 512;
   if (out_ == nullptr) {
     out_ = std::make_unique<ColumnBatch>(output_schema_,
                                          exec_ctx_.batch_size);
   }
-  if (!partial_prepared_) {
-    partial_prepared_ = true;
-    if (!scalar_mode_ && spill_seq_ > 0) {
-      for (const auto& keys : spill_keys_) {
-        for (const std::string& key : keys) {
-          partial_spill_stream_.push_back(key);
-        }
-      }
-    }
-  }
   out_->Reset();
-  ColumnVector* col = out_->column(0);
+  ColumnVector* partition_col = out_->column(0);
+  ColumnVector* blob_col = out_->column(1);
   int out_row = 0;
-  while (out_row < out_->capacity()) {
-    if (scalar_mode_) {
-      if (scalar_emitted_) break;
+  int partition = -1;
+  auto append = [&](int p, const std::string& blob) {
+    partition_col->SetNotNull(out_row);
+    partition_col->data<int32_t>()[out_row] = p;
+    blob_col->SetNotNull(out_row);
+    blob_col->SetString(out_row, blob);
+    partition = p;
+    out_row++;
+  };
+  if (scalar_mode_) {
+    if (!scalar_emitted_) {
       scalar_emitted_ = true;
       BinaryWriter writer;
       for (size_t j = 0; j < aggs_.size(); j++) {
         aggs_[j]->Serialize(scalar_state_.data() + agg_state_offsets_[j],
                             &writer);
       }
-      col->SetNotNull(out_row);
-      col->SetString(out_row, writer.ToString());
-      out_row++;
-      break;
+      append(0, writer.ToString());
     }
-    if (spill_seq_ > 0) {
-      if (partial_spill_pos_ >= partial_spill_stream_.size()) break;
-      PHOTON_ASSIGN_OR_RETURN(
-          std::string bytes,
-          ObjectStore::Default().Get(
-              partial_spill_stream_[partial_spill_pos_++]));
-      col->SetNotNull(out_row);
-      col->SetString(out_row, bytes);
-      out_row++;
-      continue;
+  } else if (spill_seq_ > 0) {
+    while (out_row < out_->capacity() &&
+           partial_spill_pos_ < partial_spill_stream_.size()) {
+      const auto& [p, key] = partial_spill_stream_[partial_spill_pos_];
+      if (out_row > 0 && p != partition) break;
+      PHOTON_ASSIGN_OR_RETURN(std::string bytes,
+                              ObjectStore::Default().Get(key));
+      partial_spill_pos_++;
+      append(p, bytes);
     }
-    if (emit_pos_ >= emit_entries_.size()) break;
-    int count = static_cast<int>(std::min<size_t>(
-        kEntriesPerBlob, emit_entries_.size() - emit_pos_));
-    BinaryWriter writer;
-    for (int i = 0; i < count; i++) {
-      SerializeEntry(emit_entries_[emit_pos_ + i], &writer);
+  } else {
+    while (out_row < out_->capacity() && emit_pos_ < emit_entries_.size()) {
+      const int p = MergePartitionOf(emit_entries_[emit_pos_]);
+      if (out_row > 0 && p != partition) break;
+      BinaryWriter writer;
+      for (int count = 0; count < kEntriesPerBlob &&
+                          emit_pos_ < emit_entries_.size() &&
+                          MergePartitionOf(emit_entries_[emit_pos_]) == p;
+           count++) {
+        SerializeEntry(emit_entries_[emit_pos_++], &writer);
+      }
+      append(p, writer.ToString());
     }
-    emit_pos_ += count;
-    col->SetNotNull(out_row);
-    col->SetString(out_row, writer.ToString());
-    out_row++;
   }
   if (out_row == 0) return nullptr;
   out_->set_num_rows(out_row);
@@ -590,14 +719,18 @@ Result<ColumnBatch*> HashAggregateOperator::GetNextImpl() {
   }
 }
 
-void HashAggregateOperator::Close() {
-  child_->Close();
+void HashAggregateOperator::DeleteSpillFiles() {
   for (auto& keys : spill_keys_) {
     for (const std::string& key : keys) {
       (void)ObjectStore::Default().Delete(key);
     }
     keys.clear();
   }
+}
+
+void HashAggregateOperator::Close() {
+  child_->Close();
+  DeleteSpillFiles();
   if (exec_ctx_.memory_manager != nullptr && reserved_bytes() > 0) {
     exec_ctx_.memory_manager->Release(this, reserved_bytes());
     reserved_for_data_ = 0;

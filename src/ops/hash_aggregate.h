@@ -26,8 +26,11 @@ struct AggregateSpec {
 ///   kComplete   — classic single-pass aggregate: raw input in, final
 ///                 values out.
 ///   kPartial    — per-task half: raw input in, serialized (key, state)
-///                 blobs out (one String column, same wire format as the
-///                 spill files), exact for every aggregate kind.
+///                 blobs out (same wire format as the spill files), exact
+///                 for every aggregate kind. Each blob holds the entries of
+///                 one final-merge partition and each output batch the
+///                 blobs of one partition, so an exchange can route whole
+///                 batches (§2.2).
 ///   kFinalMerge — merge half: blob rows in (from any number of partial
 ///                 tasks), final values out.
 enum class AggMode : uint8_t { kComplete, kPartial, kFinalMerge };
@@ -52,7 +55,13 @@ class HashAggregateOperator : public Operator, public MemoryConsumer {
                         AggMode mode = AggMode::kComplete);
   ~HashAggregateOperator() override;
 
-  /// Output schema of a kPartial aggregate: one String blob column.
+  /// Final-merge partitions of a grouped aggregate: a constant, so the
+  /// merge's decomposition never depends on the thread count.
+  static constexpr int kPartitionBits = 4;
+  static constexpr int kNumPartitions = 1 << kPartitionBits;
+
+  /// Output schema of a kPartial aggregate: the final-merge partition
+  /// (Int32; 0 for a scalar aggregate) and the blob (String).
   static Schema PartialOutputSchema();
 
   Status Open() override;
@@ -73,7 +82,11 @@ class HashAggregateOperator : public Operator, public MemoryConsumer {
   void PublishMetricsImpl() override;
 
  private:
-  static constexpr int kSpillPartitions = 16;
+  static constexpr int kSpillPartitions = kNumPartitions;
+  /// Serialized entries decoded and merged per batch: enough to amortize
+  /// the hash and probe calls, few enough that the batch's reservation
+  /// fits a small memory budget.
+  static constexpr int kMergeBatchEntries = 256;
 
   static Schema MakeOutputSchema(const std::vector<ExprPtr>& keys,
                                  const std::vector<std::string>& key_names,
@@ -91,9 +104,25 @@ class HashAggregateOperator : public Operator, public MemoryConsumer {
   /// Loads the next spilled partition into a fresh table (merging).
   Result<bool> LoadNextSpillPartition();
   void SerializeEntry(const uint8_t* entry, BinaryWriter* out) const;
-  Status MergeSpillBlock(std::string_view bytes);
+  /// Merges serialized entries into the table a batch at a time. With
+  /// `reserve`, each batch's worst-case growth is reserved before it is
+  /// decoded (spill re-merges run unreserved: they must not spill again).
+  Status MergeSpillBlock(std::string_view bytes, bool reserve);
+  /// Decodes up to a merge batch of serialized entries into merge_keys_ and
+  /// merge_states_; returns how many.
+  Result<int> DecodeMergeBatch(BinaryReader* reader);
+  int SpillPartitionOf(uint64_t hash) const;
+  /// Orders `emit_entries_` by (hash, key): a reproducible order for a
+  /// re-merged spill partition, whose table insertion order depends on
+  /// when memory pressure struck.
+  void SortEmitEntries();
   int64_t CurrentMemoryBytes() const;
   Status ReserveForDelta();
+  /// Tops up or returns reservation so it matches CurrentMemoryBytes().
+  Status SettleReservation();
+  /// Reserve(), surfacing a failed spill's error over the reservation's.
+  Status Reserve(int64_t bytes);
+  void DeleteSpillFiles();
 
   OperatorPtr child_;
   std::vector<ExprPtr> keys_;
@@ -122,12 +151,22 @@ class HashAggregateOperator : public Operator, public MemoryConsumer {
   int spill_seq_ = 0;
   int current_spill_partition_ = -1;
   int64_t reserved_for_data_ = 0;
+  /// First spill write failure (sticky): Spill() cannot return a Status,
+  /// so the error surfaces at the operator's next reservation.
+  Status spill_status_;
 
   // kPartial emission state: spilled blocks are streamed out raw (they
-  // already hold serialized entries in the blob wire format).
-  std::vector<std::string> partial_spill_stream_;
+  // already hold serialized entries in the blob wire format), as
+  // (partition, spill key) in partition order.
+  std::vector<std::pair<int, std::string>> partial_spill_stream_;
   size_t partial_spill_pos_ = 0;
-  bool partial_prepared_ = false;
+
+  // Batched merge scratch: decoded keys and states of up to a batch of
+  // serialized entries.
+  std::unique_ptr<ColumnBatch> merge_keys_;
+  std::vector<uint8_t> merge_states_;
+  int merge_state_stride_ = 0;
+  std::unique_ptr<VarLenPool> merge_arena_;
 
   // Scratch.
   EvalContext ctx_;

@@ -2,10 +2,16 @@
 
 #include <cstring>
 
+#include "expr/eval_context.h"
+#include "vector/table.h"
+
 namespace photon {
 namespace {
 
 constexpr double kCompactionSparsityThreshold = 0.5;
+
+/// Rows ahead whose bucket a partition insert prefetches.
+constexpr size_t kPrefetchDistance = 16;
 
 /// Payload layout: per build column, an 8-aligned slot of 1 null byte
 /// followed by the value (packed after the null byte).
@@ -20,11 +26,13 @@ int ComputePayloadLayout(const Schema& build_schema,
   return offset;
 }
 
-void WriteBuildPayload(JoinBuildState* state, const ColumnBatch& batch,
-                       int row, uint8_t* entry) {
-  uint8_t* payload = state->table->payload(entry);
-  for (int c = 0; c < state->build_schema.num_fields(); c++) {
-    uint8_t* slot = payload + state->payload_offsets[c];
+/// Packs build row `row` of `batch` into `entry`'s payload; string bytes go
+/// to `table`'s arena (the partition holding the entry).
+void WriteBuildPayload(const JoinBuildState& state, VectorizedHashTable* table,
+                       const ColumnBatch& batch, int row, uint8_t* entry) {
+  uint8_t* payload = table->payload(entry);
+  for (int c = 0; c < state.build_schema.num_fields(); c++) {
+    uint8_t* slot = payload + state.payload_offsets[c];
     const ColumnVector& col = *batch.column(c);
     if (col.IsNull(row)) {
       *slot = 1;
@@ -52,7 +60,7 @@ void WriteBuildPayload(JoinBuildState* state, const ColumnBatch& batch,
         break;
       case TypeId::kString: {
         StringRef s = col.data<StringRef>()[row];
-        StringRef owned = state->table->string_arena()->AddString(s);
+        StringRef owned = table->string_arena()->AddString(s);
         std::memcpy(value, &owned, sizeof(owned));
         break;
       }
@@ -60,11 +68,12 @@ void WriteBuildPayload(JoinBuildState* state, const ColumnBatch& batch,
   }
 }
 
-/// Drains `build_child` (already open) into `state`'s table, reserving
-/// memory on `state` as it grows.
+/// Drains `build_child` (already open) into `state`'s single-partition
+/// table, reserving memory on `state` as it grows.
 Status BuildInto(JoinBuildState* state, Operator* build_child,
                  const std::vector<ExprPtr>& build_keys,
                  const ExecContext& exec_ctx) {
+  VectorizedHashTable* table = state->table->partition(0);
   std::vector<uint64_t> hashes;
   std::vector<uint8_t*> entries;
   std::unique_ptr<bool[]> inserted;
@@ -98,18 +107,45 @@ Status BuildInto(JoinBuildState* state, Operator* build_child,
       inserted_capacity = n;
     }
     VectorizedHashTable::HashKeys(key_vecs, *batch, hashes.data());
-    PHOTON_RETURN_NOT_OK(state->table->LookupOrInsert(
+    PHOTON_RETURN_NOT_OK(table->LookupOrInsert(
         key_vecs, *batch, hashes.data(), entries.data(), inserted.get()));
     for (int i = 0; i < n; i++) {
       if (entries[i] == nullptr) continue;  // NULL join key: never matches
       int row = batch->ActiveRow(i);
-      uint8_t* target = inserted[i] ? entries[i]
-                                    : state->table->InsertChained(entries[i]);
-      WriteBuildPayload(state, *batch, row, target);
+      uint8_t* target =
+          inserted[i] ? entries[i] : table->InsertChained(entries[i]);
+      WriteBuildPayload(*state, table, *batch, row, target);
       state->build_rows++;
     }
   }
   return Status::OK();
+}
+
+std::vector<DataType> KeyTypes(const std::vector<ExprPtr>& keys) {
+  std::vector<DataType> types;
+  for (const ExprPtr& k : keys) types.push_back(k->type());
+  return types;
+}
+
+/// A fresh build state for `build_schema`, registered with the context's
+/// memory manager (if any).
+JoinBuildPtr MakeBuildState(const Schema& build_schema,
+                            const std::vector<ExprPtr>& keys,
+                            int partition_bits, const ExecContext& exec_ctx) {
+  auto state = std::make_shared<JoinBuildState>();
+  state->build_schema = build_schema;
+  state->payload_bytes =
+      ComputePayloadLayout(state->build_schema, &state->payload_offsets);
+  state->table = std::make_unique<PartitionedHashTable>(
+      partition_bits, KeyTypes(keys), state->payload_bytes,
+      /*match_null_keys=*/false);
+  if (exec_ctx.memory_manager != nullptr) {
+    state->memory_manager = exec_ctx.memory_manager;
+    BindConsumerToContext(state.get(), exec_ctx);
+    exec_ctx.memory_manager->RegisterConsumer(state.get());
+    state->registered = true;
+  }
+  return state;
 }
 
 }  // namespace
@@ -119,6 +155,111 @@ JoinBuildState::~JoinBuildState() {
     memory_manager->Release(this, reserved_bytes());
     if (registered) memory_manager->UnregisterConsumer(this);
   }
+}
+
+// ---------------------------------------------------------------------------
+// PartitionedJoinBuild
+// ---------------------------------------------------------------------------
+
+struct PartitionedJoinBuild::MorselRefs {
+  /// Owns the morsel's computed key vectors until the build finishes.
+  EvalContext ctx;
+  std::vector<std::vector<RowRef>> parts;  // per partition, in row order
+};
+
+Result<std::unique_ptr<PartitionedJoinBuild>> PartitionedJoinBuild::Make(
+    Table* build, std::vector<ExprPtr> keys, int batches_per_morsel,
+    const ExecContext& exec_ctx) {
+  std::unique_ptr<PartitionedJoinBuild> b(new PartitionedJoinBuild());
+  b->build_ = build;
+  b->keys_ = std::move(keys);
+  b->batches_per_morsel_ = batches_per_morsel;
+  b->state_ =
+      MakeBuildState(build->schema(), b->keys_, kPartitionBits, exec_ctx);
+  const int num_batches = build->num_batches();
+  const int num_morsels =
+      std::max(1, (num_batches + batches_per_morsel - 1) / batches_per_morsel);
+  for (int m = 0; m < num_morsels; m++) {
+    b->morsels_.push_back(std::make_unique<MorselRefs>());
+    b->morsels_.back()->parts.resize(b->num_partitions());
+  }
+  b->batch_keys_.resize(num_batches);
+  b->partition_rows_.assign(b->num_partitions(), 0);
+  if (exec_ctx.memory_manager != nullptr) {
+    // Reservation before allocation (§5.3): the row count is known, so the
+    // whole table plus the transient row references is reserved at once.
+    const int64_t rows = build->num_rows();
+    const int64_t table_bytes = rows * (b->state_->payload_bytes + 96);
+    b->reserved_for_refs_ = rows * static_cast<int64_t>(sizeof(RowRef));
+    PHOTON_RETURN_NOT_OK(exec_ctx.memory_manager->Reserve(
+        b->state_.get(), table_bytes + b->reserved_for_refs_));
+    b->state_->reserved_for_data = table_bytes;
+  }
+  return b;
+}
+
+PartitionedJoinBuild::~PartitionedJoinBuild() = default;
+
+Status PartitionedJoinBuild::HashMorsel(int m) {
+  MorselRefs& refs = *morsels_[m];
+  std::vector<uint64_t> hashes;
+  const int begin = m * batches_per_morsel_;
+  const int end = std::min(build_->num_batches(), begin + batches_per_morsel_);
+  for (int b = begin; b < end; b++) {
+    ColumnBatch* batch = build_->mutable_batch(b);
+    const int n = batch->num_active();
+    if (n == 0) continue;
+    std::vector<const ColumnVector*>& key_vecs = batch_keys_[b];
+    for (const ExprPtr& k : keys_) {
+      PHOTON_ASSIGN_OR_RETURN(ColumnVector * v, k->Evaluate(batch, &refs.ctx));
+      key_vecs.push_back(v);
+    }
+    hashes.resize(n);
+    VectorizedHashTable::HashKeys(key_vecs, *batch, hashes.data());
+    for (int i = 0; i < n; i++) {
+      const int row = batch->ActiveRow(i);
+      bool any_null = false;
+      for (const ColumnVector* col : key_vecs) any_null |= col->IsNull(row);
+      if (any_null) continue;  // NULL join key: never matches
+      refs.parts[VectorizedHashTable::PartitionOf(hashes[i], kPartitionBits)]
+          .push_back(RowRef{b, row, hashes[i]});
+    }
+  }
+  return Status::OK();
+}
+
+int64_t PartitionedJoinBuild::InsertPartition(int p) {
+  VectorizedHashTable* table = state_->table->partition(p);
+  int64_t rows = 0;
+  for (const auto& refs : morsels_) rows += refs->parts[p].size();
+  table->Presize(rows);
+  for (const auto& morsel : morsels_) {
+    const std::vector<RowRef>& refs = morsel->parts[p];
+    for (size_t i = 0; i < refs.size(); i++) {
+      if (i + kPrefetchDistance < refs.size()) {
+        table->PrefetchBucket(refs[i + kPrefetchDistance].hash);
+      }
+      const RowRef& ref = refs[i];
+      bool inserted = false;
+      uint8_t* entry = table->FindOrInsert(batch_keys_[ref.batch], ref.row,
+                                           ref.hash, &inserted);
+      WriteBuildPayload(*state_, table, build_->batch(ref.batch), ref.row,
+                        inserted ? entry : table->InsertChained(entry));
+    }
+  }
+  partition_rows_[p] = rows;
+  return rows;
+}
+
+JoinBuildPtr PartitionedJoinBuild::Finish() {
+  morsels_.clear();
+  batch_keys_.clear();
+  if (state_->memory_manager != nullptr && reserved_for_refs_ > 0) {
+    state_->memory_manager->Release(state_.get(), reserved_for_refs_);
+    reserved_for_refs_ = 0;
+  }
+  for (int64_t rows : partition_rows_) state_->build_rows += rows;
+  return std::move(state_);
 }
 
 Schema HashJoinOperator::MakeOutputSchema(const Schema& build,
@@ -151,12 +292,8 @@ HashJoinOperator::HashJoinOperator(OperatorPtr build, OperatorPtr probe,
       join_type_(join_type),
       exec_ctx_(exec_ctx),
       residual_(std::move(residual)),
-      adaptive_compaction_(adaptive_compaction),
-      state_(std::make_shared<JoinBuildState>()) {
+      adaptive_compaction_(adaptive_compaction) {
   PHOTON_CHECK(build_keys_.size() == probe_keys_.size());
-  state_->build_schema = build_->output_schema();
-  state_->payload_bytes =
-      ComputePayloadLayout(state_->build_schema, &state_->payload_offsets);
 }
 
 HashJoinOperator::HashJoinOperator(JoinBuildPtr build, OperatorPtr probe,
@@ -180,44 +317,11 @@ HashJoinOperator::HashJoinOperator(JoinBuildPtr build, OperatorPtr probe,
 
 HashJoinOperator::~HashJoinOperator() = default;
 
-Result<JoinBuildPtr> HashJoinOperator::BuildShared(
-    Operator* build_child, const std::vector<ExprPtr>& build_keys,
-    const ExecContext& exec_ctx) {
-  auto state = std::make_shared<JoinBuildState>();
-  state->build_schema = build_child->output_schema();
-  state->payload_bytes =
-      ComputePayloadLayout(state->build_schema, &state->payload_offsets);
-  std::vector<DataType> key_types;
-  for (const ExprPtr& k : build_keys) key_types.push_back(k->type());
-  state->table = std::make_unique<VectorizedHashTable>(
-      key_types, state->payload_bytes, /*match_null_keys=*/false);
-  if (exec_ctx.memory_manager != nullptr) {
-    state->memory_manager = exec_ctx.memory_manager;
-    BindConsumerToContext(state.get(), exec_ctx);
-    exec_ctx.memory_manager->RegisterConsumer(state.get());
-    state->registered = true;
-  }
-  PHOTON_RETURN_NOT_OK(build_child->Open());
-  Status build_status = BuildInto(state.get(), build_child, build_keys,
-                                  exec_ctx);
-  build_child->Close();
-  PHOTON_RETURN_NOT_OK(build_status);
-  return state;
-}
-
 Status HashJoinOperator::Open() {
   if (build_ != nullptr) {
     PHOTON_RETURN_NOT_OK(build_->Open());
-    std::vector<DataType> key_types;
-    for (const ExprPtr& k : build_keys_) key_types.push_back(k->type());
-    state_->table = std::make_unique<VectorizedHashTable>(
-        key_types, state_->payload_bytes, /*match_null_keys=*/false);
-    if (exec_ctx_.memory_manager != nullptr) {
-      state_->memory_manager = exec_ctx_.memory_manager;
-      BindConsumerToContext(state_.get(), exec_ctx_);
-      exec_ctx_.memory_manager->RegisterConsumer(state_.get());
-      state_->registered = true;
-    }
+    state_ = MakeBuildState(build_->output_schema(), build_keys_,
+                            /*partition_bits=*/0, exec_ctx_);
     built_ = false;
   }
   PHOTON_RETURN_NOT_OK(probe_->Open());
@@ -407,7 +511,7 @@ Status HashJoinOperator::ProbeBatch(ColumnBatch* batch) {
   VectorizedHashTable::HashKeys(key_vecs, *batch, hashes_.data());
   // Const probe with caller-owned scratch: the table may be shared with
   // other tasks probing concurrently.
-  const VectorizedHashTable& table = *state_->table;
+  const PartitionedHashTable& table = *state_->table;
   table.Lookup(key_vecs, *batch, hashes_.data(), match_heads_.data(),
                &probe_scratch_);
   probe_batch_ = batch;
@@ -597,7 +701,8 @@ Result<ColumnBatch*> HashJoinOperator::GetNextImpl() {
 void HashJoinOperator::Close() {
   if (build_ != nullptr) build_->Close();
   probe_->Close();
-  if (build_ != nullptr && state_->memory_manager != nullptr &&
+  if (build_ != nullptr && state_ != nullptr &&
+      state_->memory_manager != nullptr &&
       state_->reserved_bytes() > 0) {
     // Private build: release eagerly; a shared build's reservation is
     // released when the last prober drops its reference.

@@ -18,11 +18,12 @@ enum class JoinType : uint8_t {
   kLeftAnti,
 };
 
-/// The materialized build side of a hash join: the vectorized hash table
-/// plus the payload layout used to pack build columns into entries. Built
-/// once (BuildShared / the join's own build phase) and then immutable, so
-/// any number of probe tasks can share it concurrently — the paper's
-/// broadcast-build, partition-parallel-probe shape (§2.2).
+/// The materialized build side of a hash join: the (partitioned) vectorized
+/// hash table plus the payload layout used to pack build columns into
+/// entries. Built once (PartitionedJoinBuild / the join's own build phase)
+/// and then immutable, so any number of probe tasks can share it
+/// concurrently — the paper's broadcast-build, partition-parallel-probe
+/// shape (§2.2).
 ///
 /// It is the MemoryConsumer for the build memory; joins cannot release
 /// memory mid-build, so Spill() is a no-op and other consumers spill on
@@ -33,7 +34,7 @@ struct JoinBuildState : public MemoryConsumer {
 
   int64_t Spill(int64_t) override { return 0; }
 
-  std::unique_ptr<VectorizedHashTable> table;
+  std::unique_ptr<PartitionedHashTable> table;
   std::vector<int> payload_offsets;
   int payload_bytes = 0;
   Schema build_schema;
@@ -46,6 +47,63 @@ struct JoinBuildState : public MemoryConsumer {
 };
 
 using JoinBuildPtr = std::shared_ptr<JoinBuildState>;
+
+/// Partition-parallel build of a shared JoinBuildState over a materialized
+/// build table, in two phases whose units are independent tasks:
+///   1. HashMorsel(m): for one morsel of build batches, evaluate the keys,
+///      hash them and append (batch, row, hash) references to per-partition
+///      lists. The build rows themselves are not copied.
+///   2. InsertPartition(p): insert partition p's rows, in morsel order,
+///      into partition p's table, sized up front from its row count so it
+///      never grows.
+/// A key's rows all land in one partition, in input order, so duplicate-key
+/// chains come out exactly as a serial build chains them. Distinct morsels
+/// (phase 1) and distinct partitions (phase 2) may run concurrently; the
+/// phases must not overlap.
+class PartitionedJoinBuild {
+ public:
+  /// A constant: the table layout never depends on the thread count.
+  static constexpr int kPartitionBits = 4;
+
+  /// Creates the build state and reserves its memory up front (§5.3)
+  /// under `exec_ctx`'s memory manager and task group. `build` must stay
+  /// alive and unchanged until Finish().
+  static Result<std::unique_ptr<PartitionedJoinBuild>> Make(
+      Table* build, std::vector<ExprPtr> keys, int batches_per_morsel,
+      const ExecContext& exec_ctx);
+  ~PartitionedJoinBuild();
+
+  int num_morsels() const { return static_cast<int>(morsels_.size()); }
+  int num_partitions() const { return 1 << kPartitionBits; }
+
+  /// Phase 1 for morsel `m`.
+  Status HashMorsel(int m);
+  /// Phase 2 for partition `p`; returns the rows it inserted.
+  int64_t InsertPartition(int p);
+  /// Drops the row references and hands over the finished state.
+  JoinBuildPtr Finish();
+
+ private:
+  struct RowRef {
+    int32_t batch;
+    int32_t row;
+    uint64_t hash;
+  };
+  struct MorselRefs;
+
+  PartitionedJoinBuild() = default;
+
+  Table* build_ = nullptr;
+  std::vector<ExprPtr> keys_;
+  int batches_per_morsel_ = 1;
+  JoinBuildPtr state_;
+  int64_t reserved_for_refs_ = 0;
+  std::vector<std::unique_ptr<MorselRefs>> morsels_;
+  /// Evaluated key vectors per build batch (column refs point into the
+  /// build table; computed keys live in their morsel's EvalContext).
+  std::vector<std::vector<const ColumnVector*>> batch_keys_;
+  std::vector<int64_t> partition_rows_;
+};
 
 /// Vectorized hash join (§4.4, Figure 4). The build side is materialized
 /// into the vectorized hash table (entries are rows: keys + packed build
@@ -82,13 +140,6 @@ class HashJoinOperator : public Operator {
                    ExecContext exec_ctx = {}, ExprPtr residual = nullptr,
                    bool adaptive_compaction = true);
   ~HashJoinOperator() override;
-
-  /// Builds a shareable join-build state by draining `build_child`
-  /// (Open()..Close() included). Reservations go to the returned state
-  /// under `exec_ctx`'s memory manager and task group.
-  static Result<JoinBuildPtr> BuildShared(Operator* build_child,
-                                          const std::vector<ExprPtr>& build_keys,
-                                          const ExecContext& exec_ctx);
 
   Status Open() override;
   Result<ColumnBatch*> GetNextImpl() override;

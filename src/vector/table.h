@@ -36,6 +36,13 @@ class Table {
     batches_.push_back(std::move(batch));
   }
 
+  /// Moves every batch out, leaving the table empty.
+  std::vector<std::unique_ptr<ColumnBatch>> TakeBatches() {
+    std::vector<std::unique_ptr<ColumnBatch>> out = std::move(batches_);
+    batches_.clear();
+    return out;
+  }
+
   /// Boxed row access across batch boundaries (test/debug convenience).
   std::vector<Value> GetRow(int64_t row) const;
 

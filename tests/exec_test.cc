@@ -6,6 +6,7 @@
 #include "exec/driver.h"
 #include "exec/thread_pool.h"
 #include "expr/builder.h"
+#include "memory/memory_manager.h"
 #include "ops/file_scan.h"
 #include "ops/filter.h"
 #include "ops/hash_aggregate.h"
@@ -136,54 +137,84 @@ TEST(FileScanTest, MultipleFilesAndProjection) {
 
 // --- Metrics through the driver ----------------------------------------------
 
-TEST(DriverMetricsTest, StagesReportShuffleBytes) {
-  Schema schema(
-      {Field("k", DataType::Int64()), Field("v", DataType::Int64())});
-  TableBuilder builder(schema);
-  Rng rng(5);
-  for (int i = 0; i < 10000; i++) {
-    builder.AppendRow(
-        {Value::Int64(rng.Uniform(0, 9)), Value::Int64(rng.Uniform(0, 99))});
-  }
-  Table t = builder.Finish();
-
-  exec::Driver driver(2);
-  plan::PlanPtr p = plan::Scan(&t);
-  std::vector<exec::StageInfo> stages;
-  Result<Table> result = driver.RunShuffledAggregate(
-      t, {plan::ColOf(p, "k")}, {"k"},
-      {AggregateSpec{AggKind::kSum, plan::ColOf(p, "v"), "s"}}, 4, &stages);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->num_rows(), 10);
-  ASSERT_EQ(stages.size(), 2u);
-  EXPECT_GT(stages[0].shuffle_bytes(), 0);
-  EXPECT_GT(stages[0].wall_ns(), 0);
-  EXPECT_GT(stages[1].wall_ns(), 0);
-}
-
-TEST(DriverShuffleTest, FailedMapTaskLeaksNoShuffleBlocks) {
+/// A multi-morsel grouped aggregate runs a partial stage and a
+/// hash-partitioned final merge stage; the merge runs its partitions on
+/// the workers (capped by the thread count), and rows and order do not
+/// depend on the thread count.
+TEST(DriverMetricsTest, PartitionedAggregateStages) {
   Schema schema(
       {Field("k", DataType::Int64()), Field("v", DataType::Int64())});
   TableBuilder builder(schema, 256);
-  Rng rng(9);
-  for (int i = 0; i < 4000; i++) {
-    builder.AppendRow(
-        {Value::Int64(rng.Uniform(0, 9)), Value::Int64(rng.Uniform(0, 99))});
+  Rng rng(5);
+  for (int i = 0; i < 10000; i++) {
+    builder.AppendRow({Value::Int64(i % 1000), Value::Int64(rng.Uniform(0, 99))});
+  }
+  Table t = builder.Finish();  // 40 batches -> 5 morsels; 1000 groups
+  plan::PlanPtr scan = plan::Scan(&t);
+  plan::PlanPtr p = plan::Aggregate(
+      scan, {plan::ColOf(scan, "k")}, {"k"},
+      {AggregateSpec{AggKind::kSum, plan::ColOf(scan, "v"), "s"}});
+
+  std::vector<std::vector<Value>> first;
+  for (int threads : {1, 2, 8}) {
+    exec::Driver driver(threads);
+    std::vector<exec::StageInfo> stages;
+    Result<Table> result = driver.Run(p, {}, &stages);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->num_rows(), 1000);
+    ASSERT_EQ(stages.size(), 2u);
+    EXPECT_EQ(stages[0].num_tasks, std::min(threads, 5));
+    EXPECT_EQ(stages[1].num_tasks,
+              std::min(threads, HashAggregateOperator::kNumPartitions));
+    EXPECT_GT(stages[0].wall_ns(), 0);
+    EXPECT_GT(stages[1].wall_ns(), 0);
+    if (first.empty()) first = result->ToRows();
+    EXPECT_EQ(result->ToRows(), first) << "threads=" << threads;
+  }
+}
+
+/// A merge task that fails mid-spill (an injected object-store write
+/// failure under a tiny budget) fails the query and leaks neither spill
+/// objects nor reservations.
+TEST(DriverAggregateTest, FailedMergeTaskLeaksNothing) {
+  Schema schema(
+      {Field("k", DataType::Int64()), Field("v", DataType::Int64())});
+  TableBuilder builder(schema, 64);
+  for (int i = 0; i < 60000; i++) {
+    builder.AppendRow({Value::Int64(i), Value::Int64(i % 7)});
   }
   Table t = builder.Finish();
+  plan::PlanPtr scan = plan::Scan(&t);
+  plan::PlanPtr p = plan::Aggregate(
+      scan, {plan::ColOf(scan, "k")}, {"k"},
+      {AggregateSpec{AggKind::kSum, plan::ColOf(scan, "v"), "s"}});
 
-  size_t blocks_before = ObjectStore::Default().List("shuffle/").size();
-  ObjectStore::Default().FailNextPuts(1);  // first shuffle block write fails
+  // One worker: the per-morsel partials (512 groups each) fit the budget
+  // and never spill, so the first object-store write — the one that
+  // fails — is a merge task's spill (3.75k groups per partition).
+  MemoryManager mm(128 * 1024);
+  mm.set_reserve_timeout_ms(50);
+  ExecContext ctx;
+  ctx.memory_manager = &mm;
+  ctx.spill_prefix = "exec-test/failed-merge";
+  ObjectStore::Default().FailNextPuts(1);
+  exec::Driver driver(1);
+  Result<Table> result = driver.Run(p, ctx);
+  ObjectStore::Default().FailNextPuts(0);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIoError)
+      << result.status().ToString();
+  EXPECT_TRUE(ObjectStore::Default().List("exec-test/").empty());
+  EXPECT_EQ(mm.reserved(), 0);
 
-  exec::Driver driver(2);
-  plan::PlanPtr p = plan::Scan(&t);
-  Result<Table> result = driver.RunShuffledAggregate(
-      t, {plan::ColOf(p, "k")}, {"k"},
-      {AggregateSpec{AggKind::kSum, plan::ColOf(p, "v"), "s"}}, 4);
-  EXPECT_FALSE(result.ok());
-  // The failed run must not leak shuffle blocks: every block the surviving
-  // map tasks managed to write is deleted on the error path.
-  EXPECT_EQ(ObjectStore::Default().List("shuffle/").size(), blocks_before);
+  // The same plan and budget succeed once writes work, spilling in the
+  // merge tasks, and clean up after themselves.
+  Result<Table> retry = driver.Run(p, ctx);
+  ASSERT_TRUE(retry.ok()) << retry.status().ToString();
+  EXPECT_EQ(retry->num_rows(), 60000);
+  EXPECT_GT(mm.spill_count(), 0);
+  EXPECT_TRUE(ObjectStore::Default().List("exec-test/").empty());
+  EXPECT_EQ(mm.reserved(), 0);
 }
 
 }  // namespace

@@ -233,5 +233,58 @@ TEST(VectorizedHashTableTest, SparseBatchProbes) {
   EXPECT_EQ(pe[1], be[2]);
 }
 
+/// Partitions filled row by row through Presize + FindOrInsert never grow,
+/// and the partitioned Lookup finds every key in the partition its hash
+/// selects: present keys hit, absent and NULL keys miss.
+TEST(PartitionedHashTableTest, PresizedPartitionsServeBatchedLookup) {
+  constexpr int kBits = 3;
+  PartitionedHashTable table(kBits, {DataType::Int64()}, 8,
+                             /*match_null_keys=*/false);
+  std::vector<int64_t> values;
+  for (int64_t i = 0; i < 5000; i++) values.push_back(i * 7919);
+  auto batch = IntBatch(values);
+  std::vector<const ColumnVector*> keys = {batch->column(0)};
+  std::vector<uint64_t> hashes(values.size());
+  VectorizedHashTable::HashKeys(keys, *batch, hashes.data());
+  std::vector<std::vector<int>> rows(table.num_partitions());
+  for (size_t i = 0; i < values.size(); i++) {
+    rows[VectorizedHashTable::PartitionOf(hashes[i], kBits)].push_back(
+        static_cast<int>(i));
+  }
+  for (int p = 0; p < table.num_partitions(); p++) {
+    EXPECT_FALSE(rows[p].empty()) << p;
+    VectorizedHashTable* part = table.partition(p);
+    part->Presize(static_cast<int64_t>(rows[p].size()));
+    for (int row : rows[p]) {
+      bool inserted = false;
+      part->FindOrInsert(keys, row, hashes[row], &inserted);
+      EXPECT_TRUE(inserted);
+    }
+    EXPECT_EQ(part->num_resizes(), 0) << p;
+  }
+  EXPECT_EQ(table.num_entries(), 5000);
+
+  // Probe: every other present key, absent keys in between, one NULL.
+  std::vector<int64_t> probe_values;
+  for (int64_t i = 0; i < 2000; i++) {
+    probe_values.push_back(i % 2 == 0 ? i * 7919 : i * 7919 + 1);
+  }
+  auto probe = IntBatch(probe_values, /*null_rows=*/{4});
+  std::vector<const ColumnVector*> probe_keys = {probe->column(0)};
+  std::vector<uint64_t> probe_hashes(probe_values.size());
+  VectorizedHashTable::HashKeys(probe_keys, *probe, probe_hashes.data());
+  std::vector<uint8_t*> found(probe_values.size());
+  VectorizedHashTable::ProbeScratch scratch;
+  table.Lookup(probe_keys, *probe, probe_hashes.data(), found.data(),
+               &scratch);
+  for (size_t i = 0; i < probe_values.size(); i++) {
+    bool expect_hit = i % 2 == 0 && i != 4;
+    ASSERT_EQ(found[i] != nullptr, expect_hit) << i;
+    if (expect_hit) {
+      EXPECT_EQ(VectorizedHashTable::entry_hash(found[i]), probe_hashes[i]);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace photon

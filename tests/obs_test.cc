@@ -298,6 +298,49 @@ TEST(QueryProfileTest, AggregatePlanProducesPartialFinalTree) {
   EXPECT_EQ(profile.num_threads, 4);
 }
 
+TEST(QueryProfileTest, JoinBuildIsItsOwnStageUnderTheJoin) {
+  Table probe = MakeKvTable(6000, 256);
+  Table build = MakeKvTable(5000, 256);  // 20 batches -> 3 build morsels
+  plan::PlanPtr p = plan::Join(
+      plan::Scan(&probe),
+      plan::Filter(plan::Scan(&build),
+                   eb::Lt(eb::Col(1, DataType::Int64(), "v"),
+                          eb::Lit(int64_t{4000}))),
+      JoinType::kLeftSemi, {eb::Col(0, DataType::Int64(), "k")},
+      {eb::Col(0, DataType::Int64(), "k")});
+  exec::Driver driver(4);
+  std::vector<exec::StageInfo> stages;
+  obs::QueryProfile profile;
+  Result<Table> out = driver.Run(p, {}, &stages, &profile);
+  ASSERT_TRUE(out.ok());
+
+  // HashJoin <- [TableScan (probe chain), HashJoinBuild <- Filter <- scan].
+  const obs::ProfileNode& join = profile.root;
+  EXPECT_EQ(join.name, "HashJoin");
+  ASSERT_EQ(join.children.size(), 2u);
+  EXPECT_EQ(join.children[0].name, "TableScan");
+  const obs::ProfileNode& build_node = join.children[1];
+  EXPECT_EQ(build_node.name, "HashJoinBuild");
+  EXPECT_EQ(build_node.Sum(Metric::kRowsOut), 4000);  // rows hashed
+  EXPECT_EQ(build_node.rows_in, 4000);
+  EXPECT_GT(build_node.Sum(Metric::kWallNs), 0);
+  EXPECT_GT(build_node.num_tasks, 0);
+  ASSERT_EQ(build_node.children.size(), 1u);
+  EXPECT_EQ(build_node.children[0].name, "Filter");
+
+  // Stages complete in order: the build side's scan, the build, the probe.
+  ASSERT_EQ(stages.size(), 3u);
+  EXPECT_EQ(build_node.stage_id, stages[1].stage_id);
+  EXPECT_EQ(build_node.children[0].stage_id, stages[0].stage_id);
+  EXPECT_EQ(join.stage_id, stages[2].stage_id);
+  // Both build phases run on the workers: 3 hash morsels, then 16 table
+  // partitions.
+  EXPECT_EQ(stages[1].num_tasks, 4);
+  EXPECT_EQ(stages[1].rows_out(), 4000);
+  EXPECT_GT(stages[1].wall_ns(), 0);
+  EXPECT_GT(stages[1].m[Metric::kPeakReservedBytes], 0);
+}
+
 /// Per-node (name, rows_out, batches, child-shape) fingerprint, excluding
 /// wall/cpu/memory, which legitimately vary run to run.
 void ExpectSameFlowProfile(const obs::ProfileNode& a,

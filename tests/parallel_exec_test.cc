@@ -1,5 +1,5 @@
 // Tests for morsel-parallel plan execution through the generalized Driver:
-// result equivalence against single-task execution at 1/2/8 threads,
+// result equivalence against single-task execution at 1/2/4/8 threads,
 // memory-manager correctness under concurrent tasks (including spilling
 // under pressure), and the stage-planner / morsel-queue building blocks.
 
@@ -16,6 +16,7 @@
 #include "expr/builder.h"
 #include "io/block_cache.h"
 #include "memory/memory_manager.h"
+#include "obs/profile.h"
 #include "plan/logical_plan.h"
 #include "plan/stage_planner.h"
 #include "storage/delta.h"
@@ -57,18 +58,23 @@ ExprPtr ColK() { return eb::Col(0, DataType::Int64(), "k"); }
 ExprPtr ColV() { return eb::Col(1, DataType::Int64(), "v"); }
 ExprPtr ColS() { return eb::Col(2, DataType::String(), "s"); }
 
-/// Runs `plan` single-task and through parallel drivers at 1/2/8 threads;
-/// asserts every parallel run matches the single-task row set and that all
-/// parallel runs are bitwise-identical to each other (thread-count
-/// independence, including row order).
+/// Runs `plan` single-task and through parallel drivers at 1/2/4/8
+/// threads; asserts every parallel run matches the single-task row set and
+/// that all parallel runs are bitwise-identical to each other
+/// (thread-count independence, including row order). With
+/// `ordered_like_single` the parallel order must also equal the
+/// single-task order (plans whose output is one streaming fragment over a
+/// table scan, e.g. a join: that pins duplicate-key chain order to the
+/// serial build's).
 void ExpectParallelMatchesSingle(const plan::PlanPtr& plan,
-                                 ExecContext ctx = {}) {
+                                 ExecContext ctx = {},
+                                 bool ordered_like_single = false) {
   exec::Driver reference(1);
   Result<Table> single = reference.RunSingleTask(plan, ctx);
   ASSERT_TRUE(single.ok()) << single.status().ToString();
 
   std::vector<std::vector<std::vector<Value>>> parallel_rows;
-  for (int threads : {1, 2, 8}) {
+  for (int threads : {1, 2, 4, 8}) {
     exec::Driver driver(threads);
     std::vector<exec::StageInfo> stages;
     Result<Table> out = driver.Run(plan, ctx, &stages);
@@ -83,8 +89,12 @@ void ExpectParallelMatchesSingle(const plan::PlanPtr& plan,
   }
   // Morsel decomposition is input-derived, so thread count must not change
   // anything — not even row order.
-  EXPECT_EQ(parallel_rows[0], parallel_rows[1]);
-  EXPECT_EQ(parallel_rows[0], parallel_rows[2]);
+  for (size_t i = 1; i < parallel_rows.size(); i++) {
+    EXPECT_EQ(parallel_rows[0], parallel_rows[i]) << "run " << i;
+  }
+  if (ordered_like_single) {
+    EXPECT_EQ(parallel_rows[0], single->ToRows());
+  }
 }
 
 // --- Building blocks --------------------------------------------------------
@@ -214,6 +224,142 @@ TEST(ParallelEquivalenceTest, LeftOuterAndSemiJoins) {
     plan::PlanPtr p = plan::Join(plan::Scan(&probe), build_side, jt, {ColK()},
                                  {ColK()});
     ExpectParallelMatchesSingle(p);
+  }
+}
+
+// --- Partition-parallel join builds ----------------------------------------
+
+/// (k, v, s) like MakeTable, with k NULL on every 7th row.
+Table MakeNullableTable(int rows, int batch_size, uint64_t seed) {
+  Schema schema({Field("k", DataType::Int64(), true),
+                 Field("v", DataType::Int64()),
+                 Field("s", DataType::String())});
+  TableBuilder builder(schema, batch_size);
+  Rng rng(seed);
+  for (int i = 0; i < rows; i++) {
+    Value k = i % 7 == 3 ? Value::Null() : Value::Int64(rng.Uniform(0, 59));
+    builder.AppendRow({k, Value::Int64(i),
+                       Value::String("s" + std::to_string(i % 37))});
+  }
+  return builder.Finish();
+}
+
+TEST(PartitionedBuildTest, DuplicateHeavyBuildKeepsChainOrder) {
+  // 4k build rows on 50 keys: chains of ~80 entries spread over every
+  // build morsel. The probe streams over a plain scan, so the parallel
+  // output must reproduce the serial build's chain order exactly.
+  Table probe = MakeTable(600, 64, 7);
+  Table build = MakeTable(4000, 128, 9);
+  plan::PlanPtr p = plan::Join(
+      plan::Scan(&probe),
+      plan::Filter(plan::Scan(&build), eb::Lt(ColK(), eb::Lit(int64_t{50}))),
+      JoinType::kInner, {ColK()}, {ColK()});
+  ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+}
+
+TEST(PartitionedBuildTest, NullKeysWithResidualEveryJoinType) {
+  Table probe = MakeNullableTable(1500, 128, 3);
+  Table build = MakeNullableTable(1200, 64, 5);
+  // Residual over [probe (k, v, s), build (k, v, s)]: probe.v > build.v.
+  ExprPtr residual = eb::Gt(eb::Col(1, DataType::Int64(), "v"),
+                            eb::Col(4, DataType::Int64(), "bv"));
+  for (JoinType jt : {JoinType::kInner, JoinType::kLeftOuter,
+                      JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    SCOPED_TRACE(static_cast<int>(jt));
+    plan::PlanPtr p = plan::Join(plan::Scan(&probe), plan::Scan(&build), jt,
+                                 {ColK()}, {ColK()}, residual);
+    ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+  }
+}
+
+TEST(PartitionedBuildTest, EveryBuildRowOnOneKey) {
+  // One partition receives the whole build; the others stay empty.
+  Schema schema({Field("k", DataType::Int64()), Field("w", DataType::Int64())});
+  TableBuilder builder(schema, 128);
+  for (int i = 0; i < 2500; i++) {
+    builder.AppendRow({Value::Int64(42), Value::Int64(i)});
+  }
+  Table build = builder.Finish();
+  Table probe = MakeTable(1000, 128, 11);
+  for (JoinType jt : {JoinType::kInner, JoinType::kLeftAnti}) {
+    plan::PlanPtr p = plan::Join(plan::Scan(&probe), plan::Scan(&build), jt,
+                                 {ColK()}, {ColK()});
+    ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+  }
+}
+
+TEST(PartitionedBuildTest, StringKeys) {
+  Table probe = MakeTable(2000, 128, 13);
+  Table build = MakeTable(300, 16, 17);
+  plan::PlanPtr p = plan::Join(plan::Scan(&probe), plan::Scan(&build),
+                               JoinType::kInner, {ColS()}, {ColS()});
+  ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+  // String group keys through the partitioned merge, too.
+  ExpectParallelMatchesSingle(plan::Aggregate(
+      p, {eb::Col(2, DataType::String(), "s")}, {"s"},
+      {AggregateSpec{AggKind::kCountStar, nullptr, "n"},
+       AggregateSpec{AggKind::kMax, eb::Col(4, DataType::Int64(), "bv"),
+                     "max_bv"}}));
+}
+
+TEST(PartitionedBuildTest, EmptyBuild) {
+  Table probe = MakeTable(3000, 256, 19);
+  Table build = MakeTable(2000, 256, 23);
+  plan::PlanPtr empty =
+      plan::Filter(plan::Scan(&build), eb::Lt(ColV(), eb::Lit(int64_t{0})));
+  for (JoinType jt : {JoinType::kInner, JoinType::kLeftOuter,
+                      JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    plan::PlanPtr p =
+        plan::Join(plan::Scan(&probe), empty, jt, {ColK()}, {ColK()});
+    ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+  }
+}
+
+/// Walks a profile, collecting the stage ids of nodes named `name`.
+void StagesOf(const obs::ProfileNode& node, const std::string& name,
+              std::vector<int>* out) {
+  if (node.name == name) out->push_back(node.stage_id);
+  for (const obs::ProfileNode& child : node.children) {
+    StagesOf(child, name, out);
+  }
+}
+
+/// The join builds and grouped final merges of the heaviest TPC-H queries
+/// run as multi-task stages; the only single-task merge left is Q17's
+/// scalar aggregate.
+TEST(PartitionedBuildTest, HeavyTpchQueriesHaveNoSingleTaskBuildOrMerge) {
+  constexpr double kScale = 0.01;
+  static const tpch::TpchData* data =
+      new tpch::TpchData(tpch::GenerateTpch(kScale));
+  exec::Driver driver(4);
+  for (int q : {17, 18, 21}) {
+    SCOPED_TRACE("q" + std::to_string(q));
+    Result<plan::PlanPtr> p = tpch::TpchQuery(q, *data, kScale);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    std::vector<exec::StageInfo> stages;
+    obs::QueryProfile profile;
+    Result<Table> out = driver.Run(*p, {}, &stages, &profile);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    auto tasks_of = [&](int stage_id) {
+      for (const exec::StageInfo& s : stages) {
+        if (s.stage_id == stage_id) return s.num_tasks;
+      }
+      return 0;
+    };
+    std::vector<int> builds;
+    std::vector<int> merges;
+    StagesOf(profile.root, "HashJoinBuild", &builds);
+    StagesOf(profile.root, "HashAggregateFinal", &merges);
+    EXPECT_FALSE(builds.empty());
+    for (int stage : builds) EXPECT_EQ(tasks_of(stage), 4) << stage;
+    int single_task_merges = 0;
+    for (int stage : merges) {
+      if (tasks_of(stage) == 1) single_task_merges++;
+    }
+    if (q != 21) {
+      EXPECT_GE(merges.size(), 1u);
+    }
+    EXPECT_EQ(single_task_merges, q == 17 ? 1 : 0);
   }
 }
 
@@ -355,6 +501,44 @@ TEST(ParallelMemoryTest, ConcurrentAggregateSpillsUnderPressure) {
   // reserved (no leaked reservations once the query is done).
   EXPECT_GT(mm.spill_count(), 0);
   EXPECT_EQ(mm.reserved(), 0);
+}
+
+TEST(ParallelMemoryTest, LargeGroupBySpillsInsideMergeTasks) {
+  Table t = MakeTable(160000, 1024);
+  plan::PlanPtr p = plan::Aggregate(
+      plan::Scan(&t), {ColV()}, {"v"},  // v unique: 160k groups
+      {AggregateSpec{AggKind::kSum, ColK(), "sk"},
+       AggregateSpec{AggKind::kMax, ColS(), "smax"}});
+  exec::Driver reference(1);
+  Result<Table> unlimited = reference.RunSingleTask(p);
+  ASSERT_TRUE(unlimited.ok());
+  const std::vector<std::vector<Value>> expected = Sorted(unlimited->ToRows());
+
+  // ~10k groups per merge partition is far above the budget, so every
+  // merge task spills whatever runs beside it.
+  MemoryManager mm(512 * 1024);
+  ExecContext ctx;
+  ctx.memory_manager = &mm;
+  ctx.spill_prefix = "ptest/merge-spill";
+  std::vector<std::vector<Value>> first;
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    exec::Driver driver(threads);
+    std::vector<exec::StageInfo> stages;
+    obs::QueryProfile profile;
+    Result<Table> out = driver.Run(p, ctx, &stages, &profile);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    ASSERT_EQ(stages.size(), 2u);
+    const exec::StageInfo& merge = stages[1];
+    EXPECT_EQ(merge.num_tasks,
+              std::min(threads, HashAggregateOperator::kNumPartitions));
+    EXPECT_GT(merge.spill_bytes(), 0);
+    EXPECT_EQ(Sorted(out->ToRows()), expected);
+    if (first.empty()) first = out->ToRows();
+    EXPECT_EQ(out->ToRows(), first);
+    EXPECT_EQ(mm.reserved(), 0);
+    EXPECT_TRUE(ObjectStore::Default().List("ptest/merge-spill").empty());
+  }
 }
 
 TEST(ParallelMemoryTest, ConcurrentSortSpillsUnderPressure) {

@@ -209,29 +209,32 @@ TEST(ConverterTest, NothingSupportedMeansPureLegacy) {
 
 // --- Driver / stages ----------------------------------------------------------
 
-TEST(DriverTest, ShuffledAggregateMatchesSingleTask) {
+TEST(DriverTest, PartitionedAggregateMatchesSingleTask) {
   Table sales = MakeSales(20000, 9);
-  exec::Driver driver(4);
-
   PlanPtr p = plan::Scan(&sales);
   std::vector<ExprPtr> keys = {plan::ColOf(p, "store")};
   std::vector<AggregateSpec> aggs = {
       AggregateSpec{AggKind::kSum, plan::ColOf(p, "amount"), "total"},
       AggregateSpec{AggKind::kCountStar, nullptr, "n"}};
-
-  std::vector<exec::StageInfo> stages;
-  Result<Table> distributed = driver.RunShuffledAggregate(
-      sales, keys, {"store"}, aggs, /*num_partitions=*/8, &stages);
-  ASSERT_TRUE(distributed.ok()) << distributed.status().ToString();
-  ASSERT_EQ(stages.size(), 2u);
-  EXPECT_GT(stages[0].num_tasks, 1);
-  EXPECT_GT(stages[0].shuffle_bytes(), 0);
-  EXPECT_EQ(stages[1].num_tasks, 8);
-
   PlanPtr agg_plan = plan::Aggregate(p, keys, {"store"}, aggs);
-  Result<Table> single = driver.RunSingleTask(agg_plan);
+
+  exec::Driver reference(1);
+  Result<Table> single = reference.RunSingleTask(agg_plan);
   ASSERT_TRUE(single.ok());
-  EXPECT_EQ(Sorted(distributed->ToRows()), Sorted(single->ToRows()));
+  std::vector<std::vector<Value>> first;
+  for (int threads : {1, 2, 8}) {
+    exec::Driver driver(threads);
+    std::vector<exec::StageInfo> stages;
+    Result<Table> parallel = driver.Run(agg_plan, {}, &stages);
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    // Partial stage over the morsels, then the partitioned final merge.
+    ASSERT_EQ(stages.size(), 2u);
+    EXPECT_GT(stages[0].num_tasks, threads > 1 ? 1 : 0);
+    EXPECT_GE(stages[1].num_tasks, threads > 1 ? 2 : 1);
+    EXPECT_EQ(Sorted(parallel->ToRows()), Sorted(single->ToRows()));
+    if (first.empty()) first = parallel->ToRows();
+    EXPECT_EQ(parallel->ToRows(), first) << "threads=" << threads;
+  }
 }
 
 }  // namespace

@@ -383,12 +383,42 @@ void ExpectNoLeaks(QueryService& svc, const QuerySession& session,
   if (cache != nullptr) EXPECT_EQ(cache->pinned_entries(), 0);
 }
 
+/// Runs `plan` in a fresh service whose query self-cancels after `checks`
+/// checkpoints. Every landing spot must yield a clean terminal state:
+/// either kCancelled with nothing leaked, or — when the query outran the
+/// trigger — kSucceeded with the reference result. Returns whether the
+/// query completed.
+bool RunCancelledAfter(const plan::PlanPtr& plan, int worker_threads,
+                       int64_t memory_limit, const io::BlockCache* cache,
+                       const Table* expected, int checks) {
+  ServiceOptions options;
+  options.worker_threads = worker_threads;
+  options.memory_limit_bytes = memory_limit;
+  QueryService svc(options);
+  SessionOptions so;
+  so.memory_bytes = memory_limit / 2;
+  auto session = svc.Submit(plan, so);
+  session->control()->CancelAfterChecks(checks);
+  Status st = session->Wait();
+  if (st.ok()) {
+    EXPECT_EQ(session->state(), SessionState::kSucceeded);
+    if (expected != nullptr) {
+      EXPECT_EQ(Sorted(session->table().ToRows()), Sorted(expected->ToRows()))
+          << "checks=" << checks;
+    }
+  } else {
+    EXPECT_TRUE(st.IsCancelled()) << st.ToString();
+    EXPECT_EQ(session->state(), SessionState::kCancelled);
+  }
+  svc.Drain();
+  ExpectNoLeaks(svc, *session, cache);
+  return st.ok();
+}
+
 /// Sweeps CancelAfterChecks over a range of checkpoint counts, so the
 /// cancel lands in a different phase of the query every iteration (during
 /// admission, at a morsel claim, between batch pulls, at a barrier, past
-/// the end). Every landing spot must yield a clean terminal state: either
-/// kCancelled with nothing leaked, or — when the query outran the
-/// trigger — kSucceeded with the reference result.
+/// the end).
 void SweepCancellationPoints(const plan::PlanPtr& plan, int worker_threads,
                              int64_t memory_limit,
                              const io::BlockCache* cache,
@@ -396,30 +426,12 @@ void SweepCancellationPoints(const plan::PlanPtr& plan, int worker_threads,
   int completed = 0;
   int cancelled = 0;
   for (int checks = 1; checks <= 31; checks += 3) {
-    ServiceOptions options;
-    options.worker_threads = worker_threads;
-    options.memory_limit_bytes = memory_limit;
-    QueryService svc(options);
-    SessionOptions so;
-    so.memory_bytes = memory_limit / 2;
-    auto session = svc.Submit(plan, so);
-    session->control()->CancelAfterChecks(checks);
-    Status st = session->Wait();
-    if (st.ok()) {
+    if (RunCancelledAfter(plan, worker_threads, memory_limit, cache,
+                          expected, checks)) {
       completed++;
-      EXPECT_EQ(session->state(), SessionState::kSucceeded);
-      if (expected != nullptr) {
-        EXPECT_EQ(Sorted(session->table().ToRows()),
-                  Sorted(expected->ToRows()))
-            << "checks=" << checks;
-      }
     } else {
       cancelled++;
-      EXPECT_TRUE(st.IsCancelled()) << st.ToString();
-      EXPECT_EQ(session->state(), SessionState::kCancelled);
     }
-    svc.Drain();
-    ExpectNoLeaks(svc, *session, cache);
   }
   // The sweep must actually exercise cancellation (short-trigger end) —
   // whether the longest trigger outruns the query is timing-dependent.
@@ -452,6 +464,43 @@ TEST(CancellationTest, MidBuildReleasesEverything) {
   ASSERT_TRUE(expected.ok());
   for (int threads : {1, 8}) {
     SweepCancellationPoints(plan, threads, 64LL << 20, nullptr, &*expected);
+  }
+}
+
+TEST(CancellationTest, EveryCheckpointOfPartitionedBuildAndMerge) {
+  // A join whose build is a partition-parallel stage (hash morsels, then
+  // one insert task per table partition) under a grouped aggregate whose
+  // final merge runs one task per hash partition. Every task claim in
+  // those stages is a checkpoint: walking the cancel through each
+  // checkpoint in turn until the query outruns it lands it in every phase
+  // of both stages.
+  Table probe = MakeTable(6000, 256, /*seed=*/6);
+  Table build = MakeTable(4000, 256, /*seed=*/7);
+  plan::PlanPtr plan = plan::Aggregate(
+      plan::Join(plan::Scan(&probe), plan::Scan(&build), JoinType::kInner,
+                 {ColV()}, {ColV()}),
+      {ColK()}, {"k"}, {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
+  exec::Driver reference(1);
+  Result<Table> expected = reference.RunSingleTask(plan);
+  ASSERT_TRUE(expected.ok());
+  for (int threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    // The trigger is armed just after Submit, so a query that races ahead
+    // can outrun a small one: stop only after three completions in a row.
+    int cancelled = 0;
+    int completed_in_a_row = 0;
+    for (int checks = 1; checks <= 2000 && completed_in_a_row < 3; checks++) {
+      if (RunCancelledAfter(plan, threads, 64LL << 20, nullptr, &*expected,
+                            checks)) {
+        completed_in_a_row++;
+      } else {
+        cancelled++;
+        completed_in_a_row = 0;
+      }
+    }
+    EXPECT_EQ(completed_in_a_row, 3);
+    // Beyond the 16 insert and 16 merge claims alone.
+    EXPECT_GT(cancelled, 32);
   }
 }
 
