@@ -4,8 +4,8 @@
 //             interpreted expression tree (the pre-fusion engine)
 //   fused     one FusedFilterProjectOperator running the flattened
 //             postfix programs (fused interpreter tier)
-//   compiled  same operator with the template-instantiated kernels forced
-//   adaptive  the default production policy (batch-level tier selection)
+//   compiled  same operator running the template-instantiated kernels
+//             wherever the chain has them (the default policy)
 // over synthetic int64 / float64 / decimal chains shaped like TPC-H Q1
 // and Q6 expression work. Checksums must match across policies.
 //
@@ -155,8 +155,8 @@ int main(int argc, char** argv) {
   };
   const Tier kTiers[] = {{ExprPolicy::kTreeOnly, "tree"},
                          {ExprPolicy::kFusedOnly, "fused"},
-                         {ExprPolicy::kCompiledOnly, "compiled"},
-                         {ExprPolicy::kAdaptive, "adaptive"}};
+                         {ExprPolicy::kCompiledOnly, "compiled"}};
+  constexpr int kNumTiers = sizeof(kTiers) / sizeof(kTiers[0]);
 
   exec::Driver driver(1);
   bench::JsonWriter json;
@@ -166,14 +166,14 @@ int main(int argc, char** argv) {
   json.Field("reps", reps);
   json.BeginArray("chains");
 
-  std::printf("  %-12s %10s %10s %10s %10s %8s %8s\n", "chain", "tree(ms)",
-              "fused(ms)", "compl(ms)", "adapt(ms)", "fus x", "cmp x");
+  std::printf("  %-12s %10s %10s %10s %8s %8s\n", "chain", "tree(ms)",
+              "fused(ms)", "compl(ms)", "fus x", "cmp x");
   bool ok = true;
   for (const Chain& chain : chains) {
-    int64_t tier_ns[4];
-    uint64_t tier_sum[4];
-    int64_t tier_rows[4];
-    for (int t = 0; t < 4; t++) {
+    int64_t tier_ns[kNumTiers];
+    uint64_t tier_sum[kNumTiers];
+    int64_t tier_rows[kNumTiers];
+    for (int t = 0; t < kNumTiers; t++) {
       ExecContext ctx;
       ctx.expr_policy = kTiers[t].policy;
       // Warm-up run also produces the checksum outside the timed region.
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
         return bench::NowNs() - t0;
       });
     }
-    for (int t = 1; t < 4; t++) {
+    for (int t = 1; t < kNumTiers; t++) {
       if (tier_rows[t] != tier_rows[0] || tier_sum[t] != tier_sum[0]) {
         std::printf("  FAIL: %s %s diverges from tree (rows %lld vs %lld)\n",
                     chain.name, kTiers[t].name,
@@ -199,12 +199,10 @@ int main(int argc, char** argv) {
     }
     double fused_x = static_cast<double>(tier_ns[0]) / tier_ns[1];
     double compiled_x = static_cast<double>(tier_ns[0]) / tier_ns[2];
-    double adaptive_x = static_cast<double>(tier_ns[0]) / tier_ns[3];
-    double best = std::max(fused_x, std::max(compiled_x, adaptive_x));
-    std::printf("  %-12s %10.2f %10.2f %10.2f %10.2f %7.2fx %7.2fx\n",
-                chain.name, bench::Ms(tier_ns[0]), bench::Ms(tier_ns[1]),
-                bench::Ms(tier_ns[2]), bench::Ms(tier_ns[3]), fused_x,
-                compiled_x);
+    double best = std::max(fused_x, compiled_x);
+    std::printf("  %-12s %10.2f %10.2f %10.2f %7.2fx %7.2fx\n", chain.name,
+                bench::Ms(tier_ns[0]), bench::Ms(tier_ns[1]),
+                bench::Ms(tier_ns[2]), fused_x, compiled_x);
     if (best < min_speedup) {
       std::printf("  FAIL: %s best tier %.2fx < %.2fx gate\n", chain.name,
                   best, min_speedup);
@@ -216,10 +214,8 @@ int main(int argc, char** argv) {
     json.Field("tree_ms", bench::Ms(tier_ns[0]));
     json.Field("fused_ms", bench::Ms(tier_ns[1]));
     json.Field("compiled_ms", bench::Ms(tier_ns[2]));
-    json.Field("adaptive_ms", bench::Ms(tier_ns[3]));
     json.Field("fused_speedup", fused_x);
     json.Field("compiled_speedup", compiled_x);
-    json.Field("adaptive_speedup", adaptive_x);
     json.EndObject();
   }
   json.EndArray();

@@ -17,9 +17,9 @@
 //   --profile DIR  write a QueryProfile JSON per query (profile-q<N>.json)
 //                from a final profiled driver run.
 //   --expr-policy P  pin the expression-evaluation tier (DESIGN.md §12):
-//                adaptive (default), tree (pre-fusion interpreter),
-//                fused, compiled. Results must be bit-identical across
-//                policies; the tree/adaptive delta is the fusion win.
+//                compiled (default), fused, tree (pre-fusion interpreter).
+//                Results must be bit-identical across policies; the
+//                tree/compiled delta is the fusion win.
 //   --optimize   run Photon with the cost-based optimizer (DESIGN.md §14)
 //                rewriting each hand-ordered plan first. The hand plans
 //                are already well-ordered, so this measures optimizer
@@ -47,12 +47,10 @@ int main(int argc, char** argv) {
   const char* json_path = bench::FlagValue(argc, argv, "--json");
   const char* profile_dir = bench::FlagValue(argc, argv, "--profile");
   ExecContext exec_ctx;
-  const char* policy_name = "adaptive";
+  const char* policy_name = "compiled";
   if (const char* v = bench::FlagValue(argc, argv, "--expr-policy")) {
     policy_name = v;
-    if (std::strcmp(v, "adaptive") == 0) {
-      exec_ctx.expr_policy = ExprPolicy::kAdaptive;
-    } else if (std::strcmp(v, "tree") == 0) {
+    if (std::strcmp(v, "tree") == 0) {
       exec_ctx.expr_policy = ExprPolicy::kTreeOnly;
     } else if (std::strcmp(v, "fused") == 0) {
       exec_ctx.expr_policy = ExprPolicy::kFusedOnly;

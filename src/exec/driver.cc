@@ -65,22 +65,6 @@ const char* ChainNodeName(plan::PlanKind kind) {
   }
 }
 
-bool IsFusable(plan::PlanKind kind) {
-  return kind == plan::PlanKind::kFilter || kind == plan::PlanKind::kProject;
-}
-
-FusedStage StageOf(const plan::PlanNode& node) {
-  FusedStage stage;
-  stage.is_filter = node.kind == plan::PlanKind::kFilter;
-  if (stage.is_filter) {
-    stage.predicate = node.predicate;
-  } else {
-    stage.exprs = node.exprs;
-    stage.names = node.names;
-  }
-  return stage;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -110,7 +94,8 @@ struct Driver::StagedFragment {
   /// One physical operator per group: a [begin, end) root-first range of
   /// cut.nodes. `unit` non-null = the range executes as one
   /// FusedFilterProjectOperator (compiled once here, shared immutably by
-  /// every task's FusedUnitState); null = a single legacy node.
+  /// every task's FusedUnitState); null = a single node with its own
+  /// operator (a join, or any node under the tree tier).
   struct FusedGroup {
     int begin = 0;
     int end = 0;
@@ -136,10 +121,13 @@ struct Driver::StagedFragment {
 Result<Table> Driver::Run(const plan::PlanPtr& plan, ExecContext ctx,
                           std::vector<StageInfo>* stages,
                           obs::QueryProfile* profile) {
+  // Like both compilers, refuse over-deep expressions before any recursive
+  // walker (the optimizer, fusion, tree Evaluate) can touch them.
+  PHOTON_RETURN_NOT_OK(plan::CheckPlanExprDepths(*plan));
+  plan::PlanPtr root = plan;
   if (ctx.optimizer == OptimizerPolicy::kOn) {
-    ExecContext off = ctx;
-    off.optimizer = OptimizerPolicy::kOff;
-    return Run(opt::Optimize(plan), off, stages, profile);
+    root = opt::Optimize(plan);
+    ctx.optimizer = OptimizerPolicy::kOff;
   }
   RunState state;
   state.ctx = ctx;
@@ -147,7 +135,7 @@ Result<Table> Driver::Run(const plan::PlanPtr& plan, ExecContext ctx,
   obs::ProfileBuilder builder;
   if (stages != nullptr || profile != nullptr) state.profile = &builder;
   int64_t t0 = NowNs();
-  Result<Table> out = RunNode(plan, &state, -1);
+  Result<Table> out = RunNode(root, &state, -1);
   if (profile != nullptr) {
     *profile = builder.Finish(NowNs() - t0, num_threads());
   }
@@ -193,42 +181,16 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
   const std::vector<const plan::PlanNode*>& nodes = frag.cut.nodes;
 
   // Group the chain's consecutive filter/project runs into fused units
-  // (DESIGN.md §12); every other node stays a singleton legacy group. A
-  // unit is compiled once here and shared immutably by every task.
-  size_t i = 0;
-  while (i < nodes.size()) {
-    size_t j = i;
-    if (state->ctx.expr_policy != ExprPolicy::kTreeOnly) {
-      while (j < nodes.size() && IsFusable(nodes[j]->kind)) j++;
-    }
-    if (j == i) {  // non-fusable node (or tree-only policy)
-      frag.groups.push_back(
-          {static_cast<int>(i), static_cast<int>(i) + 1, nullptr});
-      i++;
-      continue;
-    }
-    auto try_compile =
-        [&](size_t begin, size_t end) -> std::shared_ptr<const FusedUnit> {
-      std::vector<FusedStage> stages;
-      stages.reserve(end - begin);
-      for (size_t k = end; k-- > begin;) stages.push_back(StageOf(*nodes[k]));
-      Result<std::shared_ptr<const FusedUnit>> unit = FusedUnit::Compile(
-          stages, nodes[end - 1]->children[0]->output_schema);
-      return unit.ok() ? std::move(*unit) : nullptr;
-    };
-    std::shared_ptr<const FusedUnit> unit = try_compile(i, j);
-    if (unit != nullptr) {
-      frag.groups.push_back(
-          {static_cast<int>(i), static_cast<int>(j), std::move(unit)});
-    } else {
-      // An unsupported expression somewhere in the run: retry each node
-      // alone so only the offending node falls back to the legacy path.
-      for (size_t k = i; k < j; k++) {
-        frag.groups.push_back({static_cast<int>(k), static_cast<int>(k) + 1,
-                               try_compile(k, k + 1)});
-      }
-    }
-    i = j;
+  // (DESIGN.md §12); every other node stays a singleton group. A unit is
+  // compiled once here and shared immutably by every task. A run follows
+  // children[0], as the cut does, so it never leaves the fragment.
+  for (size_t i = 0; i < nodes.size();) {
+    PHOTON_ASSIGN_OR_RETURN(
+        plan::FusedRun run,
+        plan::FuseFilterProjectRun(*nodes[i], state->ctx.expr_policy));
+    const int begin = static_cast<int>(i);
+    i += std::max(run.length, 1);
+    frag.groups.push_back({begin, static_cast<int>(i), std::move(run.unit)});
   }
 
   // One profile node per group plus the leaf scan, created root-first so
@@ -613,10 +575,8 @@ Result<Table> Driver::RunAggregate(const plan::PlanPtr& node,
   // inserted Project joins the input fragment, where it fuses with the
   // scan-side filter chain; the aggregate then reads plain column refs.
   // `pre` owns the rewritten plan nodes for the rest of this function.
-  plan::AggPreProject pre;
-  if (state->ctx.expr_policy != ExprPolicy::kTreeOnly) {
-    pre = plan::PlanAggPreProject(*node);
-  }
+  plan::AggPreProject pre =
+      plan::PlanAggPreProject(*node, state->ctx.expr_policy);
   const plan::PlanPtr& input = pre.fired ? pre.input : node->children[0];
   const std::vector<ExprPtr>& keys = pre.fired ? pre.keys : node->group_keys;
   const std::vector<AggregateSpec>& aggs =
@@ -795,6 +755,7 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
 Result<Table> Driver::RunSingleTask(const plan::PlanPtr& plan,
                                     ExecContext ctx, StageInfo* stage) {
   if (ctx.optimizer == OptimizerPolicy::kOn) {
+    PHOTON_RETURN_NOT_OK(plan::CheckPlanExprDepths(*plan));
     ExecContext off = ctx;
     off.optimizer = OptimizerPolicy::kOff;
     return RunSingleTask(opt::Optimize(plan), off, stage);

@@ -10,15 +10,15 @@
 
 namespace photon {
 
-/// Which expression-execution tier filter→project chains run on.
-/// `kAdaptive` is the production default: start on the fused interpreter,
-/// and use per-batch timing feedback to flip between it and the compiled
-/// kernels where the plan has them. The forced modes exist for the
-/// differential fuzzer (every tier must agree bit-for-bit) and for
-/// benchmarking tiers against each other; `kTreeOnly` disables fusion
-/// entirely and is byte-identical to the pre-fusion engine.
+/// Which expression-execution tier filter→project chains run on. The rule
+/// is static, never timing-driven: `kCompiledOnly` (the default) runs a
+/// fused unit's compiled terms and steps wherever it has them and the
+/// fused interpreter everywhere else; `kFusedOnly` keeps every unit on the
+/// fused interpreter; `kTreeOnly` disables fusion and runs one vectorized
+/// FilterOperator/ProjectOperator per plan node. The differential fuzzer
+/// pins each value (every tier must agree bit-for-bit) and the benches
+/// measure them against each other.
 enum class ExprPolicy : uint8_t {
-  kAdaptive,
   kTreeOnly,
   kFusedOnly,
   kCompiledOnly,

@@ -1,12 +1,9 @@
 #include "expr/fusion.h"
 
-#include <algorithm>
-#include <numeric>
 #include <utility>
 
 #include "expr/kernels.h"
 #include "expr/scalar_ops.h"
-#include "obs/metrics.h"
 #include "types/decimal.h"
 
 namespace photon {
@@ -18,8 +15,8 @@ namespace {
 
 /// Rewrites `e` so every column reference resolves against the chain's
 /// *input* schema: bindings[i] is the input-schema expression computing the
-/// current schema's column i. Fails on expression kinds it cannot rebuild,
-/// which makes the whole chain fall back to the per-node operators.
+/// current schema's column i. Every public Expr kind rebuilds; the errors
+/// below mean a malformed plan, and the query fails with them.
 Result<ExprPtr> SubstituteColumns(const ExprPtr& e,
                                   const std::vector<ExprPtr>& bindings) {
   if (auto* c = dynamic_cast<const ColumnRefExpr*>(e.get())) {
@@ -724,7 +721,9 @@ Result<std::shared_ptr<const FusedUnit>> FusedUnit::Compile(
 
 FusedUnitState::FusedUnitState(std::shared_ptr<const FusedUnit> unit,
                                ExprPolicy policy)
-    : unit_(std::move(unit)), policy_(policy) {
+    : unit_(std::move(unit)),
+      use_compiled_(policy == ExprPolicy::kCompiledOnly &&
+                    unit_->num_compiled() > 0) {
   conjunct_states_.reserve(unit_->conjuncts().size());
   for (const FusedUnit::Conjunct& cj : unit_->conjuncts()) {
     conjunct_states_.emplace_back(cj.program);
@@ -732,87 +731,30 @@ FusedUnitState::FusedUnitState(std::shared_ptr<const FusedUnit> unit,
   if (unit_->has_projection()) {
     projection_state_ = std::make_unique<ProgramState>(unit_->projection());
   }
-  order_.resize(unit_->conjuncts().size());
-  std::iota(order_.begin(), order_.end(), size_t{0});
-  sel_.assign(order_.size(), -1.0);
-}
-
-bool FusedUnitState::PickCompiled() {
-  switch (policy_) {
-    case ExprPolicy::kTreeOnly:
-    case ExprPolicy::kFusedOnly:
-      return false;
-    case ExprPolicy::kCompiledOnly:
-      return true;
-    case ExprPolicy::kAdaptive:
-      break;
-  }
-  if (unit_->num_compiled() == 0) return false;
-  if (fused_ns_row_ < 0) return false;    // first: measure the fused tier
-  if (compiled_ns_row_ < 0) return true;  // then: measure the compiled tier
-  // Periodic re-probe of the losing tier keeps the timing feedback fresh
-  // when the data distribution shifts mid-query (§4.6 adaptivity).
-  if ((batches_ & 63) == 1) return !prefer_compiled_;
-  bool pick = compiled_ns_row_ <= fused_ns_row_;
-  if (pick != prefer_compiled_) {
-    tier_switches_++;
-    prefer_compiled_ = pick;
-  }
-  return pick;
-}
-
-void FusedUnitState::ReorderConjuncts() {
-  if (order_.size() < 2 || (batches_ & 63) != 0) return;
-  // Most selective (lowest pass rate) first. Reordering is safe: every
-  // conjunct must independently hold and no kernel has row side effects.
-  std::stable_sort(order_.begin(), order_.end(), [this](size_t a, size_t b) {
-    double sa = sel_[a] < 0 ? 1.0 : sel_[a];
-    double sb = sel_[b] < 0 ? 1.0 : sel_[b];
-    return sa < sb;
-  });
 }
 
 Result<int> FusedUnitState::Eval(ColumnBatch* batch, EvalContext* ctx) {
-  batches_++;
   if (unit_->always_false()) {
     batch->SetActiveRows(0);
     return 0;
   }
-  if (policy_ == ExprPolicy::kAdaptive) ReorderConjuncts();
-  bool use_compiled = PickCompiled();
-  bool timed = policy_ == ExprPolicy::kAdaptive && unit_->num_compiled() > 0;
-  int rows_in = batch->num_active();
-  int64_t start = timed ? obs::WallNowNs() : 0;
-
-  for (size_t k = 0; k < order_.size(); k++) {
-    size_t ci = order_[k];
-    int before = batch->num_active();
-    if (before == 0) break;
+  for (size_t ci = 0; ci < unit_->conjuncts().size(); ci++) {
+    if (batch->num_active() == 0) break;
     const FusedUnit::Conjunct& cj = unit_->conjuncts()[ci];
-    int after;
-    if (use_compiled && cj.term) {
-      after = cj.term(batch);
+    if (use_compiled_ && cj.term) {
+      cj.term(batch);
     } else {
       ProgramState& st = conjunct_states_[ci];
-      PHOTON_RETURN_NOT_OK(st.Run(batch, ctx, use_compiled));
-      after = ApplyBooleanFilter(*st.reg(cj.program.root_regs()[0]), batch);
+      PHOTON_RETURN_NOT_OK(st.Run(batch, ctx, use_compiled_));
+      ApplyBooleanFilter(*st.reg(cj.program.root_regs()[0]), batch);
     }
-    double s = static_cast<double>(after) / before;
-    sel_[ci] = sel_[ci] < 0 ? s : 0.9 * sel_[ci] + 0.1 * s;
   }
 
-  int active = batch->num_active();
   if (unit_->has_projection() &&
-      (active > 0 || !unit_->has_predicates())) {
-    PHOTON_RETURN_NOT_OK(projection_state_->Run(batch, ctx, use_compiled));
+      (batch->num_active() > 0 || !unit_->has_predicates())) {
+    PHOTON_RETURN_NOT_OK(projection_state_->Run(batch, ctx, use_compiled_));
   }
-
-  if (timed && rows_in > 0) {
-    double ns_row = static_cast<double>(obs::WallNowNs() - start) / rows_in;
-    double& ewma = use_compiled ? compiled_ns_row_ : fused_ns_row_;
-    ewma = ewma < 0 ? ns_row : 0.8 * ewma + 0.2 * ns_row;
-  }
-  if (use_compiled) {
+  if (use_compiled_) {
     compiled_batches_++;
   } else {
     fused_batches_++;

@@ -22,9 +22,8 @@ struct FusedStage {
 /// (DESIGN.md §12). Project stages are rewritten into expressions over the
 /// *input* schema (column substitution), so the whole chain evaluates in
 /// one pass over one position list with no intermediate view batches.
-/// Filters are split into conjuncts (Kleene-safe for AND) so the cheapest,
-/// most selective predicates can shrink the position list before the
-/// expensive ones run.
+/// Filters are split into conjuncts (Kleene-safe for AND), each of which
+/// shrinks the position list before the next one runs.
 ///
 /// Compiled-tier specializations are attached here at plan time: per-
 /// conjunct position-list-direct terms (column-vs-literal comparisons and
@@ -53,8 +52,9 @@ class FusedUnit {
     int root = -1;       // else: index into projection().root_regs()
   };
 
-  /// Fails (falls back to the per-node operators) when a stage contains an
-  /// expression kind the rewriter does not know how to substitute into.
+  /// Rebuilds every Expr kind; fails only on an expression nested deeper
+  /// than kMaxExprDepth or a column index outside its stage's input, and
+  /// the caller fails the query with that status.
   static Result<std::shared_ptr<const FusedUnit>> Compile(
       const std::vector<FusedStage>& stages, const Schema& input_schema);
 
@@ -68,8 +68,8 @@ class FusedUnit {
   const ExprProgram& projection() const { return projection_; }
   const std::vector<Output>& outputs() const { return outputs_; }
   const Schema& output_schema() const { return output_schema_; }
-  /// Compiled terms + compiled steps across all programs. Zero disables
-  /// the compiled tier (adaptive selection stays on the fused interpreter).
+  /// Compiled terms + compiled steps across all programs. Zero means every
+  /// batch runs on the fused interpreter whatever the policy.
   int num_compiled() const { return num_compiled_; }
 
  private:
@@ -84,12 +84,12 @@ class FusedUnit {
   int num_compiled_ = 0;
 };
 
-/// Per-operator-instance execution state: program register files, the
-/// adaptive conjunct order (selectivity EWMAs), and the fused-vs-compiled
-/// tier choice (per-row timing EWMAs, re-probed periodically — the paper's
-/// §4.4 batch-level adaptivity generalized to execution strategy). Timing
-/// only ever affects *which* tier runs, never what it computes, so results
-/// are bit-identical across tier histories.
+/// Per-operator-instance execution state: the program register files and
+/// the static tier choice. Under kCompiledOnly (the default policy) the
+/// compiled terms and steps run wherever the unit has them and the fused
+/// interpreter covers the rest; kFusedOnly and kTreeOnly keep the whole
+/// unit on the fused interpreter. The choice never depends on timing, and
+/// every tier computes bit-identical results (differ mode 6).
 class FusedUnitState {
  public:
   FusedUnitState(std::shared_ptr<const FusedUnit> unit, ExprPolicy policy);
@@ -102,27 +102,18 @@ class FusedUnitState {
   /// context's next ResetPerBatch.
   ColumnVector* Output(size_t i, ColumnBatch* batch) const;
 
+  /// Batches evaluated with at least one compiled term or step, and
+  /// batches evaluated on the fused interpreter alone.
   int64_t fused_batches() const { return fused_batches_; }
   int64_t compiled_batches() const { return compiled_batches_; }
-  int64_t tier_switches() const { return tier_switches_; }
 
  private:
-  bool PickCompiled();
-  void ReorderConjuncts();
-
   std::shared_ptr<const FusedUnit> unit_;
-  ExprPolicy policy_;
+  bool use_compiled_;  // the policy allows it and the unit has any
   std::vector<ProgramState> conjunct_states_;
   std::unique_ptr<ProgramState> projection_state_;
-  std::vector<size_t> order_;  // conjunct evaluation order
-  std::vector<double> sel_;    // per-conjunct selectivity EWMA (-1 unknown)
-  double fused_ns_row_ = -1.0;
-  double compiled_ns_row_ = -1.0;
-  bool prefer_compiled_ = true;
-  int64_t batches_ = 0;
   int64_t fused_batches_ = 0;
   int64_t compiled_batches_ = 0;
-  int64_t tier_switches_ = 0;
 };
 
 }  // namespace photon

@@ -27,8 +27,9 @@ enum class Metric : uint8_t {
   kWallNs,             // wall time inside GetNext (includes children)
   kCpuNs,              // thread CPU time (recorded per task by the driver)
   kExprFusedBatches,   // batches run on the fused-interpreter expr tier
-  kExprCompiledBatches,  // batches run on the compiled expr tier
-  kExprTierSwitches,   // adaptive fused<->compiled preference flips
+  kExprCompiledBatches,  // batches run with >= 1 compiled term or step
+  kExprTierSwitches,   // always 0: the tier rule is static; kept because
+                       // the benchmark harness still reads it
   kScratchPoolHits,    // EvalContext scratch vectors served from the pool
   kScratchPoolMisses,  // EvalContext scratch vectors freshly allocated
   // -- resource metrics (tree-foldable) from here down ----------------------

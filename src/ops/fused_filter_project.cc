@@ -35,7 +35,6 @@ Result<ColumnBatch*> FusedFilterProjectOperator::GetNextImpl() {
 void FusedFilterProjectOperator::PublishMetricsImpl() {
   stats_.Add(obs::Metric::kExprFusedBatches, state_.fused_batches());
   stats_.Add(obs::Metric::kExprCompiledBatches, state_.compiled_batches());
-  stats_.Add(obs::Metric::kExprTierSwitches, state_.tier_switches());
   stats_.Add(obs::Metric::kScratchPoolHits, ctx_.pool_hits());
   stats_.Add(obs::Metric::kScratchPoolMisses, ctx_.pool_misses());
 }

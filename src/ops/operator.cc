@@ -41,33 +41,4 @@ void CollectTreeMetrics(Operator* root, obs::MetricSnapshot* out) {
   }
 }
 
-namespace {
-
-void ExplainNode(Operator* op, int depth, std::string* out) {
-  int64_t child_ns = 0;
-  for (Operator* child : op->children()) child_ns += child->metrics().time_ns;
-  const OperatorMetrics& m = op->metrics();
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "%*s%s: rows=%lld batches=%lld self_time=%.2fms%s%s\n",
-                depth * 2, "", op->name().c_str(),
-                static_cast<long long>(m.rows_out),
-                static_cast<long long>(m.batches_out),
-                (m.time_ns - child_ns) / 1e6,
-                m.spill_count > 0 ? " SPILLED" : "",
-                m.peak_memory > 0 ? " (has build memory)" : "");
-  *out += line;
-  for (Operator* child : op->children()) {
-    ExplainNode(child, depth + 1, out);
-  }
-}
-
-}  // namespace
-
-std::string ExplainAnalyze(Operator* root) {
-  std::string out;
-  ExplainNode(root, 0, &out);
-  return out;
-}
-
 }  // namespace photon

@@ -17,20 +17,6 @@ namespace photon {
 
 class Table;
 
-/// Legacy per-operator metrics view, now a snapshot of the operator's
-/// obs::MetricSet (see op_metrics()). Maintaining abstraction boundaries
-/// between operators is what makes these cheap to collect — the paper
-/// calls this out as a core advantage of vectorized-interpreted execution
-/// over code generation (§3.3 "Observability is easier").
-struct OperatorMetrics {
-  int64_t batches_out = 0;
-  int64_t rows_out = 0;
-  int64_t time_ns = 0;      // wall time inside this operator's GetNext
-  int64_t peak_memory = 0;  // bytes, large persistent allocations only
-  int64_t spill_count = 0;
-  int64_t spilled_bytes = 0;
-};
-
 /// Whether the driver runs the cost-based optimizer (src/opt) over logical
 /// plans before stage planning. Off by default so hand-built plans execute
 /// exactly as written; the differ runs both settings as differential modes.
@@ -56,11 +42,10 @@ struct ExecContext {
   /// process-wide default. Threaded onto every consumer this context's
   /// operators register (see MemoryConsumer::reserve_timeout_ms).
   int64_t reserve_timeout_ms = -1;
-  /// Expression-execution tier for filter→project chains (fused
-  /// interpreter / compiled kernels / interpreted tree). Forced modes are
-  /// used by the differ and benches; kTreeOnly also disables the fusion
-  /// planner passes entirely.
-  ExprPolicy expr_policy = ExprPolicy::kAdaptive;
+  /// Expression-execution tier for filter→project chains (see
+  /// ExprPolicy). Other values are used by the differ and benches;
+  /// kTreeOnly also disables the fusion planner passes entirely.
+  ExprPolicy expr_policy = ExprPolicy::kCompiledOnly;
   /// Cost-based plan optimization (filter/projection pushdown, join
   /// reordering, build-side selection). Applied by the Driver entry points,
   /// so it covers hand-built plans, SQL, the query service, and benches.
@@ -124,7 +109,7 @@ class Operator {
   virtual void Close() {}
   virtual std::string name() const = 0;
 
-  /// Child operators, for plan-wide metric collection and explain output.
+  /// Child operators, for plan-wide metric collection.
   virtual std::vector<Operator*> children() { return {}; }
 
   /// Flushes metrics held in operator-private state (IO stats, memory
@@ -138,18 +123,6 @@ class Operator {
 
   /// This operator's metric shard (the full obs vocabulary).
   const obs::MetricSet& op_metrics() const { return stats_; }
-
-  /// Legacy snapshot view kept for existing tests and ExplainAnalyze.
-  OperatorMetrics metrics() const {
-    OperatorMetrics m;
-    m.batches_out = stats_.Value(obs::Metric::kBatches);
-    m.rows_out = stats_.Value(obs::Metric::kRowsOut);
-    m.time_ns = stats_.Value(obs::Metric::kWallNs);
-    m.peak_memory = stats_.Value(obs::Metric::kPeakReservedBytes);
-    m.spill_count = stats_.Value(obs::Metric::kSpillCount);
-    m.spilled_bytes = stats_.Value(obs::Metric::kSpillBytes);
-    return m;
-  }
 
  protected:
   virtual Result<ColumnBatch*> GetNextImpl() = 0;
@@ -178,12 +151,6 @@ void PublishTreeMetrics(Operator* root);
 /// Publishes and folds the tree's resource metrics (IO, memory, spill)
 /// into `out`, plus nothing else — flow metrics stay per-operator.
 void CollectTreeMetrics(Operator* root, obs::MetricSnapshot* out);
-
-/// Renders the operator tree with per-operator metrics — the live-metrics
-/// observability §3.3 credits to keeping operator boundaries intact
-/// ("each operator can thus maintain its own set of metrics"). Self time
-/// is wall time inside the operator minus its children's.
-std::string ExplainAnalyze(Operator* root);
 
 }  // namespace photon
 

@@ -41,8 +41,9 @@ bool IsFusable(PlanKind kind) {
 
 /// Depth-checks every expression hanging off one plan node (not its
 /// children — CompilePhoton/CompileBaseline recurse per node, so each node
-/// is checked exactly once on the way down). Gates all the recursive
-/// walkers behind it: canonicalization, program flattening, tree Evaluate.
+/// is checked exactly once on the way down; CheckPlanExprDepths walks the
+/// whole tree). Gates all the recursive walkers behind it:
+/// canonicalization, program flattening, tree Evaluate.
 Status CheckNodeExprDepths(const PlanNode& node) {
   std::vector<const ExprPtr*> exprs;
   if (node.predicate != nullptr) exprs.push_back(&node.predicate);
@@ -238,9 +239,42 @@ std::string PlanNode::ToString(int indent) const {
   return out;
 }
 
-AggPreProject PlanAggPreProject(const PlanNode& agg) {
+Status CheckPlanExprDepths(const PlanNode& root) {
+  PHOTON_RETURN_NOT_OK(CheckNodeExprDepths(root));
+  for (const PlanPtr& child : root.children) {
+    PHOTON_RETURN_NOT_OK(CheckPlanExprDepths(*child));
+  }
+  return Status::OK();
+}
+
+Result<FusedRun> FuseFilterProjectRun(const PlanNode& root,
+                                      ExprPolicy policy) {
+  FusedRun run;
+  if (policy == ExprPolicy::kTreeOnly) return run;
+  // Walk down to the first non-fusable node; stages are fed bottom-up.
+  std::vector<const PlanNode*> nodes;
+  const PlanNode* cur = &root;
+  while (IsFusable(cur->kind)) {
+    nodes.push_back(cur);
+    run.input = cur->children[0];
+    cur = run.input.get();
+  }
+  if (nodes.empty()) return run;
+  std::vector<FusedStage> stages;
+  stages.reserve(nodes.size());
+  for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+    stages.push_back(StageOf(**it));
+  }
+  PHOTON_ASSIGN_OR_RETURN(run.unit,
+                          FusedUnit::Compile(stages, run.input->output_schema));
+  run.length = static_cast<int>(nodes.size());
+  return run;
+}
+
+AggPreProject PlanAggPreProject(const PlanNode& agg, ExprPolicy policy) {
   AggPreProject out;
   PHOTON_CHECK(agg.kind == PlanKind::kAggregate);
+  if (policy == ExprPolicy::kTreeOnly) return out;
   auto is_trivial = [](const ExprPtr& e) {
     return e == nullptr ||
            dynamic_cast<const ColumnRefExpr*>(e.get()) != nullptr ||
@@ -306,31 +340,15 @@ Result<OperatorPtr> CompilePhoton(const PlanPtr& plan, ExecContext ctx) {
                                                plan->scan_io));
     case PlanKind::kFilter:
     case PlanKind::kProject: {
-      if (ctx.expr_policy != ExprPolicy::kTreeOnly) {
-        // Fusion pass: collapse the maximal run of filter/project nodes
-        // ending here into one FusedUnit (DESIGN.md §12). `cur` walks to
-        // the first non-fusable descendant; stages are fed bottom-up.
-        const PlanPtr* cur = &plan;
-        std::vector<const PlanNode*> run;
-        while (IsFusable((*cur)->kind)) {
-          run.push_back(cur->get());
-          cur = &(*cur)->children[0];
-        }
-        std::vector<FusedStage> stages;
-        stages.reserve(run.size());
-        for (auto it = run.rbegin(); it != run.rend(); ++it) {
-          stages.push_back(StageOf(**it));
-        }
-        Result<std::shared_ptr<const FusedUnit>> unit =
-            FusedUnit::Compile(stages, (*cur)->output_schema);
-        if (unit.ok()) {
-          PHOTON_ASSIGN_OR_RETURN(OperatorPtr child, CompilePhoton(*cur, ctx));
-          return OperatorPtr(new FusedFilterProjectOperator(
-              std::move(child), std::move(*unit), ctx.expr_policy));
-        }
-        // Unsupported expression somewhere in the run: fall through to the
-        // per-node operators (sub-runs below still get their own chance).
+      PHOTON_ASSIGN_OR_RETURN(FusedRun run,
+                              FuseFilterProjectRun(*plan, ctx.expr_policy));
+      if (run.unit != nullptr) {
+        PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
+                                CompilePhoton(run.input, ctx));
+        return OperatorPtr(new FusedFilterProjectOperator(
+            std::move(child), std::move(run.unit), ctx.expr_policy));
       }
+      // Tree tier: one vectorized operator per node.
       PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
                               CompilePhoton(plan->children[0], ctx));
       if (plan->kind == PlanKind::kFilter) {
@@ -341,10 +359,7 @@ Result<OperatorPtr> CompilePhoton(const PlanPtr& plan, ExecContext ctx) {
           new ProjectOperator(std::move(child), plan->exprs, plan->names));
     }
     case PlanKind::kAggregate: {
-      AggPreProject pre;
-      if (ctx.expr_policy != ExprPolicy::kTreeOnly) {
-        pre = PlanAggPreProject(*plan);
-      }
+      AggPreProject pre = PlanAggPreProject(*plan, ctx.expr_policy);
       const PlanPtr& input = pre.fired ? pre.input : plan->children[0];
       PHOTON_ASSIGN_OR_RETURN(OperatorPtr child, CompilePhoton(input, ctx));
       return OperatorPtr(new HashAggregateOperator(

@@ -15,6 +15,9 @@
 #include "vector/table.h"
 
 namespace photon {
+
+class FusedUnit;
+
 namespace plan {
 
 /// Engine-neutral logical operator kinds. A logical plan compiles to either
@@ -111,6 +114,25 @@ int ColIndex(const PlanPtr& plan, const std::string& name);
 /// Compiles to a Photon physical operator tree.
 Result<OperatorPtr> CompilePhoton(const PlanPtr& plan, ExecContext ctx = {});
 
+/// Rejects a plan with any expression nested deeper than kMaxExprDepth,
+/// anywhere in the tree, before a recursive walker can touch it.
+Status CheckPlanExprDepths(const PlanNode& root);
+
+/// A run of filter/project plan nodes fused into one FusedUnit.
+struct FusedRun {
+  int length = 0;  // nodes covered: the run's root and those below it
+  std::shared_ptr<const FusedUnit> unit;  // null iff length == 0
+  PlanPtr input;  // child of the run's lowest node (set iff length > 0)
+};
+
+/// The fusion grouping of both Photon executors (DESIGN.md §12): compiles
+/// the maximal run of filter/project nodes from `root` down along
+/// children[0] into one unit over the run's input schema. The run is empty
+/// when `root` is neither a filter nor a project, and under kTreeOnly,
+/// whose tier runs one FilterOperator/ProjectOperator per node. A Compile
+/// error is returned as the query's error.
+Result<FusedRun> FuseFilterProjectRun(const PlanNode& root, ExprPolicy policy);
+
 /// Result of the aggregate pre-projection rewrite (DESIGN.md §12): when an
 /// aggregate computes non-trivial argument expressions (e.g. Q1's
 /// price*(1-disc) terms), those move into a Project below the aggregate —
@@ -126,8 +148,9 @@ struct AggPreProject {
 /// Plans the rewrite for `agg` (must be kAggregate). Fires only when at
 /// least one aggregate argument is a non-trivial expression; plans whose
 /// keys and arguments are all column refs / literals are left untouched,
-/// so their physical shape (and profile tree) is unchanged.
-AggPreProject PlanAggPreProject(const PlanNode& agg);
+/// so their physical shape (and profile tree) is unchanged. Never fires
+/// under kTreeOnly: the tree tier neither fuses nor pre-projects.
+AggPreProject PlanAggPreProject(const PlanNode& agg, ExprPolicy policy);
 
 /// Which baseline join implementation to use (Figure 4 compares both).
 enum class BaselineJoinImpl : uint8_t { kSortMerge, kShuffledHash };

@@ -228,9 +228,10 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
     modes.push_back(std::move(mode));
   }
 
-  // Mode 6: forced expression tiers. The adaptive runs above pick tiers by
-  // observed cost, so a slow-but-wrong tier could hide behind a fast
-  // correct one; pinning the policy makes every tier answer for itself.
+  // Mode 6: forced expression tiers. The runs above use the default policy,
+  // which never exercises the fused interpreter where a unit has kernels
+  // nor the tree tier at all; pinning the policy makes every tier answer
+  // for itself.
   struct TierMode {
     ExprPolicy policy;
     const char* label;

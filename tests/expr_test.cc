@@ -5,9 +5,12 @@
 #include <cstring>
 #include <limits>
 
+#include "exec/driver.h"
 #include "expr/builder.h"
 #include "expr/function_registry.h"
 #include "expr/fusion.h"
+#include "ops/fused_filter_project.h"
+#include "ops/scan.h"
 #include "plan/logical_plan.h"
 #include "vector/table.h"
 
@@ -522,7 +525,7 @@ TEST(EvalContextTest, RecyclesScratchVectors) {
 // ---------------------------------------------------------------------------
 // Tier parity (DESIGN.md §12): one filter→project chain evaluated under
 // every expression policy — interpreted tree, fused interpreter, compiled
-// kernels, adaptive — must keep the same rows and produce the same values.
+// kernels — must keep the same rows and produce the same values.
 // ---------------------------------------------------------------------------
 
 /// NULL-aware value equality. Doubles compare by bit pattern so NaN == NaN
@@ -576,16 +579,14 @@ class TierParityTest {
       const char* name;
     } kTiers[] = {{ExprPolicy::kTreeOnly, "tree"},
                   {ExprPolicy::kFusedOnly, "fused"},
-                  {ExprPolicy::kCompiledOnly, "compiled"},
-                  {ExprPolicy::kAdaptive, "adaptive"}};
+                  {ExprPolicy::kCompiledOnly, "compiled"}};
     std::vector<TierRun> runs;
     for (const auto& tier : kTiers) {
       FusedUnitState state(*unit, tier.policy);
       EvalContext ctx;
       TierRun first;
-      // Several batches per tier: the adaptive state times the fused pass
-      // first, then the compiled one, then probes — every repetition must
-      // still agree with the first.
+      // Several batches per tier: state carried across batches (register
+      // files, scratch vectors) must not change what a repetition computes.
       for (int rep = 0; rep < 4; rep++) {
         ColumnBatch batch(schema_, static_cast<int>(rows_.size()));
         for (size_t r = 0; r < rows_.size(); r++) {
@@ -771,6 +772,73 @@ TEST(TierParityTest, Q6ShapeCompiledTermParity) {
   t.Check(eb::Gt(Lit(24.0), qty), {eb::Mul(price, disc)});
 }
 
+// --- The static tier rule ----------------------------------------------------
+
+/// Runs `stages` over `table` through one FusedFilterProjectOperator under
+/// the default ExecContext policy and returns the operator's metrics.
+obs::MetricSnapshot RunFusedUnderDefaultPolicy(
+    const std::vector<FusedStage>& stages, const Table& table) {
+  Result<std::shared_ptr<const FusedUnit>> unit =
+      FusedUnit::Compile(stages, table.schema());
+  PHOTON_CHECK(unit.ok());
+  FusedFilterProjectOperator op(
+      std::make_unique<InMemoryScanOperator>(&table), *unit,
+      ExecContext{}.expr_policy);
+  PHOTON_CHECK(CollectAll(&op).ok());
+  return op.op_metrics().Snapshot();
+}
+
+TEST(StaticTierTest, CompiledWhereverTheUnitHasKernels) {
+  // A Q6-shaped unit has compiled filter terms and a compiled product, so
+  // every batch runs compiled from the first one on: no timing probe on
+  // the fused interpreter, and nothing to switch.
+  Schema schema({Field("qty", DataType::Float64()),
+                 Field("disc", DataType::Float64()),
+                 Field("price", DataType::Float64())});
+  TableBuilder tb(schema, 4);
+  for (int i = 0; i < 12; i++) {
+    tb.AppendRow({Value::Float64(20.0 + i),
+                  Value::Float64(0.04 + 0.01 * (i % 4)),
+                  Value::Float64(10.0 * i)});
+  }
+  Table table = tb.Finish();
+  ASSERT_EQ(table.num_batches(), 3);
+  ExprPtr qty = Col(0, DataType::Float64(), "qty");
+  ExprPtr disc = Col(1, DataType::Float64(), "disc");
+  ExprPtr price = Col(2, DataType::Float64(), "price");
+  FusedStage filter;
+  filter.is_filter = true;
+  filter.predicate = eb::And(
+      eb::Lt(qty, Lit(24.0)),
+      eb::And(eb::Ge(disc, Lit(0.05)), eb::Le(disc, Lit(0.07))));
+  FusedStage project;
+  project.exprs = {eb::Mul(price, disc)};
+  project.names = {"revenue"};
+  obs::MetricSnapshot m = RunFusedUnderDefaultPolicy({filter, project}, table);
+  EXPECT_EQ(m[obs::Metric::kExprCompiledBatches], 3);
+  EXPECT_EQ(m[obs::Metric::kExprFusedBatches], 0);
+  EXPECT_EQ(m[obs::Metric::kExprTierSwitches], 0);
+}
+
+TEST(StaticTierTest, FusedInterpreterWhereNoKernelExists) {
+  // upper(s) has no compiled step: every batch is a fused-interpreter
+  // batch, so the compiled share measures kernel coverage.
+  Schema schema({Field("s", DataType::String())});
+  TableBuilder tb(schema, 4);
+  for (int i = 0; i < 12; i++) {
+    tb.AppendRow({Value::String("row" + std::to_string(i))});
+  }
+  Table table = tb.Finish();
+  ASSERT_EQ(table.num_batches(), 3);
+  FusedStage project;
+  project.exprs = {eb::Call("upper", {Col(0, DataType::String(), "s")})};
+  project.names = {"u"};
+  obs::MetricSnapshot m = RunFusedUnderDefaultPolicy({project}, table);
+  EXPECT_EQ(m[obs::Metric::kExprFusedBatches], 3);
+  EXPECT_EQ(m[obs::Metric::kExprCompiledBatches], 0);
+  EXPECT_EQ(m[obs::Metric::kExprTierSwitches], 0);
+}
+
 TEST(TierParityTest, ConstantFoldingAndCseKeepParity) {
   // Literal-only subtrees fold at compile time and duplicate
   // subexpressions share one program slot; results must be unchanged.
@@ -865,6 +933,32 @@ TEST(ExprDepthLimitTest, DeepTreesErrorCleanlyInsteadOfOverflowing) {
   EXPECT_NE(photon.status().ToString().find("nested deeper"),
             std::string::npos);
   EXPECT_FALSE(plan::CompileBaseline(p).ok());
+
+  // Both Driver entry points refuse it too, with the same typed error, at
+  // any worker count and with the optimizer off or on — for a deep filter
+  // and for a deep group key alike.
+  std::vector<AggregateSpec> aggs;
+  aggs.push_back({AggKind::kCountStar, nullptr, "n"});
+  plan::PlanPtr agg = plan::Aggregate(plan::Scan(&table), {deep}, {"k"},
+                                      std::move(aggs));
+  for (const plan::PlanPtr& plan : {p, agg}) {
+    for (OptimizerPolicy opt : {OptimizerPolicy::kOff, OptimizerPolicy::kOn}) {
+      ExecContext ctx;
+      ctx.optimizer = opt;
+      exec::Driver single(1);
+      Result<Table> reference = single.RunSingleTask(plan, ctx);
+      ASSERT_FALSE(reference.ok());
+      EXPECT_EQ(reference.status().code(), StatusCode::kInvalidArgument);
+      for (int workers : {1, 4}) {
+        exec::Driver driver(workers);
+        Result<Table> out = driver.Run(plan, ctx);
+        ASSERT_FALSE(out.ok()) << workers << " workers";
+        EXPECT_EQ(out.status().code(), reference.status().code());
+        EXPECT_NE(out.status().ToString().find("nested deeper"),
+                  std::string::npos);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -231,7 +231,8 @@ TEST(HashAggregateTest, SpillingProducesSameResult) {
 
   Result<Table> result = CollectAll(agg.get());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(agg->metrics().spill_count, 0) << "test must actually spill";
+  EXPECT_GT(agg->op_metrics().Value(obs::Metric::kSpillCount), 0)
+      << "test must actually spill";
   ASSERT_EQ(result->num_rows(), static_cast<int64_t>(oracle.size()));
   for (auto& row : result->ToRows()) {
     EXPECT_EQ(row[1].i64(), oracle[row[0].i64()]) << row[0].i64();
@@ -482,7 +483,8 @@ TEST(SortTest, SpillingExternalSortMatchesInMemory) {
   SortOperator* sort_ptr = sort.get();
   Result<Table> result = CollectAll(sort.get());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(sort_ptr->metrics().spill_count, 0) << "must actually spill";
+  EXPECT_GT(sort_ptr->op_metrics().Value(obs::Metric::kSpillCount), 0)
+      << "must actually spill";
   ASSERT_EQ(result->num_rows(), 20000);
   auto got = result->ToRows();
   for (size_t i = 1; i < got.size(); i++) {

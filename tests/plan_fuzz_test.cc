@@ -171,8 +171,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LakehouseFuzzTest,
 }  // namespace
 
 /// Overrides gtest_main: `--soak N` loops seeds 1..N outside gtest for
-/// long fuzzing runs (bench/bench_fuzz_soak.cc wraps the same loop with
-/// wall-clock reporting); otherwise behaves exactly like gtest_main.
+/// long fuzzing runs, reporting progress every 32 seeds; otherwise behaves
+/// exactly like gtest_main.
 int main(int argc, char** argv) {
   long soak = 0;
   for (int i = 1; i < argc; i++) {
