@@ -32,24 +32,26 @@ using namespace photon;
 using eb::Col;
 using eb::Lit;
 
-/// Deterministic synthetic table: int64 a,b; float64 x,y; decimal p,q.
-/// Values from one LCG so every run (and every policy) sees the same
-/// bytes; sparse NULLs exercise the null-propagation paths.
+/// Deterministic synthetic table: int64 a,b; float64 x,y; decimal p,q at
+/// narrow widths; decimal(12,2) price, disc, tax at TPC-H's lineitem
+/// widths. Values from one LCG so every run (and every policy) sees the
+/// same bytes; sparse NULLs exercise the null-propagation paths.
 ///
-/// The decimal widths are deliberate: p decimal(10,2) × (1±q) at
-/// decimal(4,2) puts price*(1-disc) at (24,4) and the Q1 charge product
-/// at exactly precision 38 — the widest shape that stays on the compact
-/// int128 kernels every tier shares the speedup on. Wider inputs (e.g.
-/// 18,2) cap the charge product's precision, which routes ALL tiers
-/// through the same checked BigDecimal row loop (§6.2's slow case);
-/// that loop dominates runtime identically everywhere, so no
-/// expression-layer tier can beat another on it by construction.
+/// The two decimal groups cover both charge shapes. p decimal(10,2) ×
+/// (1±q) at decimal(4,2) puts price*(1-disc) at (24,4) and the charge
+/// product at exactly precision 38, on the unchecked int128 kernels.
+/// TPC-H's decimal(12,2) columns put price*(1-disc) at (26,4), so the
+/// charge product is capped at dec(38,6) and runs the checked int128
+/// kernel (CheckedDecimalOp) in every tier — the shape Q1 actually runs.
 Table MakeTable(int64_t rows) {
   Schema schema({Field("a", DataType::Int64()), Field("b", DataType::Int64()),
                  Field("x", DataType::Float64()),
                  Field("y", DataType::Float64()),
                  Field("p", DataType::Decimal(10, 2)),
-                 Field("q", DataType::Decimal(4, 2))});
+                 Field("q", DataType::Decimal(4, 2)),
+                 Field("price", DataType::Decimal(12, 2)),
+                 Field("disc", DataType::Decimal(12, 2)),
+                 Field("tax", DataType::Decimal(12, 2))});
   Table table(schema);
   uint64_t seed = 0x9e3779b97f4a7c15ull;
   auto next = [&seed]() {
@@ -66,6 +68,9 @@ Table MakeTable(int64_t rows) {
     double* y = batch->column(3)->data<double>();
     int128_t* p = batch->column(4)->data<int128_t>();
     int128_t* q = batch->column(5)->data<int128_t>();
+    int128_t* price = batch->column(6)->data<int128_t>();
+    int128_t* disc = batch->column(7)->data<int128_t>();
+    int128_t* tax = batch->column(8)->data<int128_t>();
     for (int i = 0; i < n; i++) {
       a[i] = static_cast<int64_t>(next() % 2000) - 1000;
       b[i] = static_cast<int64_t>(next() % 1000);
@@ -73,6 +78,9 @@ Table MakeTable(int64_t rows) {
       y[i] = static_cast<double>(next() % 1000) / 10000.0;  // [0, 0.1)
       p[i] = static_cast<int128_t>(next() % 10000000);  // up to 100k.00
       q[i] = static_cast<int128_t>(next() % 10);        // discount 0.00-0.09
+      price[i] = static_cast<int128_t>(90000 + next() % 10000000);
+      disc[i] = static_cast<int128_t>(next() % 11);  // 0.00-0.10
+      tax[i] = static_cast<int128_t>(next() % 9);    // 0.00-0.08
       if (next() % 97 == 0) batch->column(1)->SetNull(i);
       if (next() % 89 == 0) batch->column(3)->SetNull(i);
     }
@@ -118,6 +126,9 @@ int main(int argc, char** argv) {
   ExprPtr y = Col(3, DataType::Float64(), "y");
   ExprPtr p = Col(4, DataType::Decimal(10, 2), "p");
   ExprPtr q = Col(5, DataType::Decimal(4, 2), "q");
+  ExprPtr price = Col(6, DataType::Decimal(12, 2), "price");
+  ExprPtr disc = Col(7, DataType::Decimal(12, 2), "disc");
+  ExprPtr tax = Col(8, DataType::Decimal(12, 2), "tax");
 
   std::vector<Chain> chains;
   // int64 arithmetic chain: comparison terms + fused multiply-add.
@@ -148,6 +159,17 @@ int main(int argc, char** argv) {
                         eb::Le(q, eb::DecimalLit("0.07", 4, 2))),
            {disc_price, eb::Mul(disc_price, eb::Add(Lit(int32_t{1}), q))},
            {"disc_price", "charge"})});
+  // The same Q1 shape at TPC-H's decimal(12,2) widths: the charge product
+  // is capped at dec(38,6) and runs the checked int128 kernel.
+  ExprPtr tpch_disc_price = eb::Mul(price, eb::Sub(Lit(int32_t{1}), disc));
+  chains.push_back(
+      {"q1_tpch_types",
+       plan::Project(
+           plan::Filter(plan::Scan(&table),
+                        eb::Le(disc, eb::DecimalLit("0.07", 12, 2))),
+           {tpch_disc_price,
+            eb::Mul(tpch_disc_price, eb::Add(Lit(int32_t{1}), tax))},
+           {"disc_price", "charge"})});
 
   struct Tier {
     ExprPolicy policy;
@@ -166,7 +188,7 @@ int main(int argc, char** argv) {
   json.Field("reps", reps);
   json.BeginArray("chains");
 
-  std::printf("  %-12s %10s %10s %10s %8s %8s\n", "chain", "tree(ms)",
+  std::printf("  %-13s %10s %10s %10s %8s %8s\n", "chain", "tree(ms)",
               "fused(ms)", "compl(ms)", "fus x", "cmp x");
   bool ok = true;
   for (const Chain& chain : chains) {
@@ -200,7 +222,7 @@ int main(int argc, char** argv) {
     double fused_x = static_cast<double>(tier_ns[0]) / tier_ns[1];
     double compiled_x = static_cast<double>(tier_ns[0]) / tier_ns[2];
     double best = std::max(fused_x, compiled_x);
-    std::printf("  %-12s %10.2f %10.2f %10.2f %7.2fx %7.2fx\n", chain.name,
+    std::printf("  %-13s %10.2f %10.2f %10.2f %7.2fx %7.2fx\n", chain.name,
                 bench::Ms(tier_ns[0]), bench::Ms(tier_ns[1]),
                 bench::Ms(tier_ns[2]), fused_x, compiled_x);
     if (best < min_speedup) {

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/macros.h"
+#include "expr/scalar_ops.h"
 #include "types/big_decimal.h"
 #include "types/decimal.h"
 
@@ -92,7 +93,11 @@ template <typename T, typename AccT, TypeId kArgId>
 class SumAgg : public AggregateFunction {
  public:
   SumAgg(DataType result, bool is_avg, int avg_shift = 0)
-      : result_(result), is_avg_(is_avg), avg_shift_(avg_shift) {}
+      : result_(result),
+        is_avg_(is_avg),
+        avg_shift_(avg_shift),
+        avg_mult_(
+            static_cast<uint128_t>(Decimal128::PowerOfTen(avg_shift))) {}
 
   DataType result_type() const override { return result_; }
   int state_bytes() const override { return sizeof(SumState<T, AccT>); }
@@ -143,33 +148,13 @@ class SumAgg : public AggregateFunction {
       return;
     }
     if constexpr (std::is_same_v<AccT, int128_t>) {
-      // Decimal sum/avg finalize through BigDecimal exactly like the row
-      // engine's SumDecimalState: a sum (or avg quotient) beyond the
-      // 38-digit cap is NULL, not a wrapped int128. The exact sum is
-      // wraps * 2^128 + sum; 2^128 exceeds int128 so it is composed as
-      // (2^64)^2, putting arg_scale on one factor only.
-      int arg_scale = result_.scale() - avg_shift_;
-      BigDecimal sum = BigDecimal::FromDecimal128(Decimal128(s->sum),
-                                                  arg_scale);
-      if (s->wraps != 0) {
-        BigDecimal two64_scaled = BigDecimal::FromDecimal128(
-            Decimal128(static_cast<int128_t>(1) << 64), arg_scale);
-        BigDecimal two64 = BigDecimal::FromDecimal128(
-            Decimal128(static_cast<int128_t>(1) << 64), 0);
-        sum = sum.Add(two64_scaled.Multiply(two64).Multiply(
-            BigDecimal::FromInt64(s->wraps, 0)));
-      }
-      if (is_avg_) {
-        sum = sum.Divide(BigDecimal::FromInt64(s->count, 0),
-                         result_.scale());
-      }
-      Decimal128 v;
-      if (!sum.ToDecimal128(result_.scale(), &v)) {
+      int128_t v = 0;
+      if (!FinalizeDecimal(*s, &v)) {
         out->SetNull(row);
         return;
       }
       out->SetNotNull(row);
-      out->data<int128_t>()[row] = v.value();
+      out->data<int128_t>()[row] = v;
       return;
     } else {
       out->SetNotNull(row);
@@ -214,9 +199,56 @@ class SumAgg : public AggregateFunction {
   }
 
  private:
+  /// Decimal sum/avg finalize with the row engine's SumDecimalState
+  /// semantics: a sum (or avg quotient, rounded half away from zero)
+  /// beyond 38 digits is NULL, not a wrapped int128. With no net wrap the
+  /// int128 sum is exact and everything stays in int128; false means NULL.
+  bool FinalizeDecimal(const SumState<T, AccT>& s, int128_t* out) const {
+    if (s.wraps == 0) {
+      if (!is_avg_) {
+        *out = s.sum;
+        return s.sum <= kMaxDecimal38 && s.sum >= -kMaxDecimal38;
+      }
+      uint128_t num = 0;
+      if (!__builtin_mul_overflow(DecimalMagnitude(s.sum), avg_mult_, &num)) {
+        uint128_t q = DivRoundHalfUp(num, static_cast<uint128_t>(s.count));
+        if (q > static_cast<uint128_t>(kMaxDecimal38)) return false;
+        *out = s.sum < 0 ? -static_cast<int128_t>(q)
+                         : static_cast<int128_t>(q);
+        return true;
+      }
+    }
+    return FinalizeDecimalExact(s, out);
+  }
+
+  /// The exact sum is wraps * 2^128 + sum; 2^128 exceeds int128 so it is
+  /// composed as (2^64)^2, putting arg_scale on one factor only. Runs only
+  /// for a net-wrapped sum or an avg numerator past uint128.
+  PHOTON_NOINLINE bool FinalizeDecimalExact(const SumState<T, AccT>& s,
+                                            int128_t* out) const {
+    int arg_scale = result_.scale() - avg_shift_;
+    BigDecimal sum = BigDecimal::FromDecimal128(Decimal128(s.sum), arg_scale);
+    if (s.wraps != 0) {
+      BigDecimal two64_scaled = BigDecimal::FromDecimal128(
+          Decimal128(static_cast<int128_t>(1) << 64), arg_scale);
+      BigDecimal two64 = BigDecimal::FromDecimal128(
+          Decimal128(static_cast<int128_t>(1) << 64), 0);
+      sum = sum.Add(two64_scaled.Multiply(two64).Multiply(
+          BigDecimal::FromInt64(s.wraps, 0)));
+    }
+    if (is_avg_) {
+      sum = sum.Divide(BigDecimal::FromInt64(s.count, 0), result_.scale());
+    }
+    Decimal128 v;
+    if (!sum.ToDecimal128(result_.scale(), &v)) return false;
+    *out = v.value();
+    return true;
+  }
+
   DataType result_;
   bool is_avg_;
   int avg_shift_;  // 10^shift applied before dividing (decimal avg)
+  uint128_t avg_mult_;  // 10^avg_shift_
 };
 
 // ---------------------------------------------------------------------------
@@ -420,8 +452,8 @@ class CollectListAgg : public AggregateFunction {
 
  private:
   void Append(CollectState* s, StringRef value) const {
-    auto* node = reinterpret_cast<CollectNode*>(
-        arena_->AllocateBytes(sizeof(CollectNode)));
+    auto* node = static_cast<CollectNode*>(
+        arena_->AllocateAligned(sizeof(CollectNode), alignof(CollectNode)));
     node->value = value;
     node->next = nullptr;
     if (s->tail == nullptr) {

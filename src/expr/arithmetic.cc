@@ -25,12 +25,6 @@ void RunBinary(ColumnBatch* batch, const ColumnVector& a,
 
 // Decimal kernels: operand scales may differ; the multipliers are loop
 // constants so these stay tight.
-struct DecimalScaleInfo {
-  int128_t a_mult;
-  int128_t b_mult;
-  int128_t div_shift_mult;  // for division
-};
-
 template <bool kHasNulls, bool kAllRowsActive>
 void DecimalAddSubKernel(const int32_t* PHOTON_RESTRICT pos, int n,
                          const int128_t* PHOTON_RESTRICT a,
@@ -73,51 +67,48 @@ void DecimalMulKernel(const int32_t* PHOTON_RESTRICT pos, int n,
   }
 }
 
-template <bool kHasNulls, bool kAllRowsActive>
-void DecimalDivKernel(const int32_t* PHOTON_RESTRICT pos, int n,
-                      const int128_t* PHOTON_RESTRICT a,
-                      const uint8_t* PHOTON_RESTRICT an,
-                      const int128_t* PHOTON_RESTRICT b,
-                      const uint8_t* PHOTON_RESTRICT bn, int128_t shift_mult,
-                      int128_t* PHOTON_RESTRICT out,
-                      uint8_t* PHOTON_RESTRICT on) {
-  for (int i = 0; i < n; i++) {
-    int row = kAllRowsActive ? i : pos[i];
-    if constexpr (kHasNulls) {
-      if (an[row] | bn[row]) {
-        on[row] = 1;
-        continue;
-      }
-    }
-    if (b[row] == 0) {
-      on[row] = 1;
-      continue;
-    }
-    int128_t scaled = a[row] * shift_mult;
-    int128_t q = scaled / b[row];
-    int128_t r = scaled % b[row];
-    int128_t abs_r = r < 0 ? -r : r;
-    int128_t abs_d = b[row] < 0 ? -b[row] : b[row];
-    if (2 * abs_r >= abs_d) q += ((scaled < 0) != (b[row] < 0)) ? -1 : 1;
-    out[row] = q;
-  }
-}
-
 }  // namespace
 
-bool DecimalArithIsIrregular(ArithOp op, const DataType& left,
-                             const DataType& right, const DataType& result) {
+bool DecimalArithIsChecked(ArithOp op, const DataType& left,
+                           const DataType& right, const DataType& result) {
   int s1 = left.scale();
   int s2 = right.scale();
   int p1 = left.precision();
   int p2 = right.precision();
   int sr = result.scale();
-  return (op == ArithOp::kMul && (sr != s1 + s2 || p1 + p2 + 1 > 38)) ||
+  return op == ArithOp::kDiv ||
+         (op == ArithOp::kMul && (sr != s1 + s2 || p1 + p2 + 1 > 38)) ||
          ((op == ArithOp::kAdd || op == ArithOp::kSub) &&
           (sr < std::max(s1, s2) ||
-           std::max(p1 - s1, p2 - s2) + std::max(s1, s2) + 1 > 38)) ||
-         (op == ArithOp::kDiv &&
-          (sr - s1 + s2 < 0 || p1 + (sr - s1 + s2) > 38));
+           std::max(p1 - s1, p2 - s2) + std::max(s1, s2) + 1 > 38));
+}
+
+bool DecimalArithSlow(ArithOp op, int128_t a, int s1, int128_t b, int s2,
+                      int sr, int128_t* out) {
+  BigDecimal ba = BigDecimal::FromDecimal128(Decimal128(a), s1);
+  BigDecimal bb = BigDecimal::FromDecimal128(Decimal128(b), s2);
+  BigDecimal br;
+  switch (op) {
+    case ArithOp::kAdd:
+      br = ba.Add(bb).SetScale(sr);
+      break;
+    case ArithOp::kSub:
+      br = ba.Subtract(bb).SetScale(sr);
+      break;
+    case ArithOp::kMul:
+      br = ba.Multiply(bb).SetScale(sr);
+      break;
+    case ArithOp::kDiv:
+      if (bb.is_zero()) return false;
+      br = ba.Divide(bb, sr);
+      break;
+    case ArithOp::kMod:
+      PHOTON_CHECK(false);
+  }
+  Decimal128 result;
+  if (!br.ToDecimal128(sr, &result)) return false;
+  *out = result.value();
+  return true;
 }
 
 ArithmeticExpr::ArithmeticExpr(ArithOp op, ExprPtr left, ExprPtr right,
@@ -206,64 +197,22 @@ Result<ColumnVector*> ArithmeticExpr::Evaluate(ColumnBatch* batch,
       int s2 = right_->type().scale();
       int sr = type().scale();
       // Precision capping (38 digits) can shrink the result scale below
-      // the natural one (e.g. mul at s1+s2, add at max(s1,s2)). The fast
-      // kernels assume the natural scale; the capped cases must rescale
-      // with the same rounding as the row interpreter's BigDecimal path,
-      // so route them through it (cold: only plans near 38 digits).
-      //
-      // Capping also means the result may not fit 38 digits even at the
-      // natural scale (e.g. Decimal(38,2) + Decimal(38,2), or a mul whose
-      // natural precision exceeded 38 with a small combined scale). The
-      // fast kernels would silently wrap the int128; the row interpreter's
-      // BigDecimal path returns NULL on overflow. Route every capped case
-      // through the checked path so both engines agree: overflow -> NULL
-      // (Spark's non-ANSI decimal behavior).
-      bool irregular =
-          DecimalArithIsIrregular(op_, left_->type(), right_->type(), type());
-      if (irregular) {
-        int n_rows = batch->num_active();
-        const int128_t* av = a->data<int128_t>();
-        const int128_t* bv = b->data<int128_t>();
-        const uint8_t* an = a->nulls();
-        const uint8_t* bn = b->nulls();
-        int128_t* ov = out->data<int128_t>();
-        uint8_t* on = out->nulls();
-        for (int i = 0; i < n_rows; i++) {
-          int row = batch->ActiveRow(i);
-          if (an[row] | bn[row]) {
-            on[row] = 1;
-            continue;
-          }
-          BigDecimal ba = BigDecimal::FromDecimal128(Decimal128(av[row]), s1);
-          BigDecimal bb = BigDecimal::FromDecimal128(Decimal128(bv[row]), s2);
-          BigDecimal br;
-          switch (op_) {
-            case ArithOp::kAdd:
-              br = ba.Add(bb).SetScale(sr);
-              break;
-            case ArithOp::kSub:
-              br = ba.Subtract(bb).SetScale(sr);
-              break;
-            case ArithOp::kMul:
-              br = ba.Multiply(bb).SetScale(sr);
-              break;
-            case ArithOp::kDiv:
-              if (bb.is_zero()) {
-                on[row] = 1;
-                continue;
-              }
-              br = ba.Divide(bb, sr);
-              break;
-            case ArithOp::kMod:
-              PHOTON_CHECK(false);
-          }
-          Decimal128 result;
-          if (!br.ToDecimal128(sr, &result)) {
-            on[row] = 1;  // overflow -> NULL, same as the row path
-            continue;
-          }
-          ov[row] = result.value();
-        }
+      // the natural one, and the result may not fit 38 digits even at the
+      // natural scale (e.g. Decimal(38,2) + Decimal(38,2)). The unchecked
+      // kernels below would wrap the int128; capped nodes (and division,
+      // which always rescales and rounds) run the checked kernel instead,
+      // which rounds like the row interpreter's BigDecimal path and turns
+      // overflow into NULL (Spark's non-ANSI behavior).
+      if (DecimalArithIsChecked(op_, left_->type(), right_->type(),
+                                type())) {
+        VisitCheckedDecimalOp(op_, s1, s2, sr, [&](auto op) {
+          DispatchBatchShape(has_nulls, all, [&](auto nulls_c, auto active_c) {
+            BinaryKernel<int128_t, int128_t, decltype(op),
+                         decltype(nulls_c)::value, decltype(active_c)::value>(
+                pos, n, a->data<int128_t>(), a->nulls(), b->data<int128_t>(),
+                b->nulls(), out->data<int128_t>(), out->nulls(), op);
+          });
+        });
         out->set_has_nulls(TriState::kUnknown);
         return out;
       }
@@ -285,12 +234,7 @@ Result<ColumnVector*> ArithmeticExpr::Evaluate(ColumnBatch* batch,
                                      b->data<int128_t>(), b->nulls(),
                                      out->data<int128_t>(), out->nulls());
             break;
-          case ArithOp::kDiv:
-            DecimalDivKernel<kN, kA>(
-                pos, n, a->data<int128_t>(), a->nulls(), b->data<int128_t>(),
-                b->nulls(), Decimal128::PowerOfTen(sr - s1 + s2),
-                out->data<int128_t>(), out->nulls());
-            break;
+          case ArithOp::kDiv:  // always checked (above)
           case ArithOp::kMod:
             PHOTON_CHECK(false);  // decimal mod unsupported
         }

@@ -292,9 +292,10 @@ bool OperandHasNulls(const COperand<T>& op, ColumnVector* const* regs,
 
 template <typename T, typename Op>
 ExprProgram::CompiledStepFn MakeSingleStep(COperand<T> a, COperand<T> b,
-                                           DataType result) {
-  return [a, b, result](ColumnBatch* batch, EvalContext* ctx,
-                        ColumnVector* const* regs) -> Result<ColumnVector*> {
+                                           DataType result, Op op = Op{}) {
+  return [a, b, result, op](ColumnBatch* batch, EvalContext* ctx,
+                            ColumnVector* const* regs)
+             -> Result<ColumnVector*> {
     ColumnVector* out = ctx->NewVector(result, batch->capacity());
     int n = batch->num_active();
     const int32_t* pos = batch->pos_list();
@@ -318,7 +319,7 @@ ExprProgram::CompiledStepFn MakeSingleStep(COperand<T> a, COperand<T> b,
             continue;
           }
         }
-        if (!Op::Apply(ra.data[ia], rb.data[ib], &ov[row])) on[row] = 1;
+        if (!op.Apply(ra.data[ia], rb.data[ib], &ov[row])) on[row] = 1;
       }
     });
     out->set_has_nulls(has_nulls ? TriState::kYes : TriState::kUnknown);
@@ -393,8 +394,7 @@ ExprProgram::CompiledStepFn MakeArithStep(ArithOp op, COperand<T> a,
       return MakeSingleStep<T, MulOp<T>>(a, b, result);
     case ArithOp::kDiv:
     case ArithOp::kMod:
-      // Decimal division rescales and rounds; the plain scalar ops do not
-      // implement that, so those instructions stay interpreted.
+      // Decimal division rescales and rounds: a CheckedDecimalOp step.
       if constexpr (std::is_same_v<T, int128_t>) {
         return nullptr;
       } else {
@@ -455,8 +455,7 @@ struct OperandDesc {
 };
 
 /// True when instruction `i` is an arithmetic node the compiled tier has
-/// kernels for: int64/float64 any op, decimal add/sub/mul on the regular
-/// (non-precision-capped) fast path.
+/// kernels for: int64/float64 any op, decimal any op but mod.
 bool ArithEligible(const ExprProgram& p, size_t i, TypeId* tid, ArithOp* op) {
   const ExprInstr& ins = p.instrs()[i];
   if (ins.kind != ExprInstr::Kind::kNode) return false;
@@ -467,17 +466,20 @@ bool ArithEligible(const ExprProgram& p, size_t i, TypeId* tid, ArithOp* op) {
       t != TypeId::kDecimal128) {
     return false;
   }
-  if (t == TypeId::kDecimal128) {
-    if (!IsAddSubMul(a->op())) return false;
-    const DataType& lt = p.instrs()[ins.args[0]].node->type();
-    const DataType& rt = p.instrs()[ins.args[1]].node->type();
-    // Irregular (precision-capped) cases run the checked BigDecimal row
-    // loop in the interpreter; never compile those.
-    if (DecimalArithIsIrregular(a->op(), lt, rt, a->type())) return false;
-  }
+  if (t == TypeId::kDecimal128 && a->op() == ArithOp::kMod) return false;
   *tid = t;
   *op = a->op();
   return true;
+}
+
+/// True when eligible decimal instruction `i` runs CheckedDecimalOp; the
+/// others run the unchecked two-op-fusable scalar ops.
+bool IsCheckedDecimal(const ExprProgram& p, size_t i) {
+  const ExprInstr& ins = p.instrs()[i];
+  auto* a = static_cast<const ArithmeticExpr*>(ins.node.get());
+  return DecimalArithIsChecked(a->op(), p.instrs()[ins.args[0]].node->type(),
+                               p.instrs()[ins.args[1]].node->type(),
+                               a->type());
 }
 
 void GetOperandDescs(const ExprProgram& p, size_t i, OperandDesc d[2]) {
@@ -545,6 +547,26 @@ template <typename T>
 void TryAttachArith(ExprProgram* p, size_t j, ArithOp opj,
                     const OperandDesc dj[2]) {
   const DataType& result = p->instrs()[j].node->type();
+  if constexpr (std::is_same_v<T, int128_t>) {
+    if (IsCheckedDecimal(*p, j)) {
+      COperand<int128_t> raw[2];
+      for (int k = 0; k < 2; k++) {
+        raw[k].reg = dj[k].reg;
+        if (dj[k].reg < 0) {
+          raw[k].scalar = dj[k].lit->value().decimal().value();
+        }
+      }
+      // The kernel the interpreter runs for the same node; operands stay
+      // at their own scales and the op aligns them.
+      p->SetCompiledStep(
+          j, VisitCheckedDecimalOp(
+                 opj, dj[0].type.scale(), dj[1].type.scale(), result.scale(),
+                 [&](auto op) {
+                   return MakeSingleStep<int128_t>(raw[0], raw[1], result, op);
+                 }));
+      return;
+    }
+  }
   if (IsAddSubMul(opj)) {
     for (int s = 0; s < 2; s++) {
       if (dj[s].reg < 0) continue;
@@ -554,6 +576,7 @@ void TryAttachArith(ExprProgram* p, size_t j, ArithOp opj,
       ArithOp opi;
       if (!ArithEligible(*p, i, &ti, &opi)) continue;
       if (ti != result.id() || !IsAddSubMul(opi)) continue;
+      if (ti == TypeId::kDecimal128 && IsCheckedDecimal(*p, i)) continue;
       // If `i` already fused one of its own operands away (that operand's
       // instruction is marked skipped and only i's compiled step covers
       // it), absorbing `i` here would orphan the skipped register: i's

@@ -72,6 +72,7 @@ void DispatchBatchShape(bool has_nulls, bool all_active, Fn&& fn) {
 
 /// Generic binary kernel: out[row] = Op(a[row], b[row]) over active rows.
 /// Op::Apply returns false to signal a NULL result (e.g. division by zero).
+/// Ops with plan-time constants (CheckedDecimalOp) pass an instance.
 /// Inactive rows are never touched (§4.3).
 template <typename T, typename R, typename Op, bool kHasNulls,
           bool kAllRowsActive>
@@ -81,7 +82,7 @@ void BinaryKernel(const int32_t* PHOTON_RESTRICT pos_list, int num_rows,
                   const T* PHOTON_RESTRICT b,
                   const uint8_t* PHOTON_RESTRICT b_nulls,
                   R* PHOTON_RESTRICT out,
-                  uint8_t* PHOTON_RESTRICT out_nulls) {
+                  uint8_t* PHOTON_RESTRICT out_nulls, const Op& op = Op{}) {
   for (int i = 0; i < num_rows; i++) {
     // Branch compiles away: condition is a compile-time constant.
     int row = kAllRowsActive ? i : pos_list[i];
@@ -92,7 +93,7 @@ void BinaryKernel(const int32_t* PHOTON_RESTRICT pos_list, int num_rows,
         continue;
       }
     }
-    if (!Op::Apply(a[row], b[row], &out[row])) out_nulls[row] = 1;
+    if (!op.Apply(a[row], b[row], &out[row])) out_nulls[row] = 1;
   }
 }
 

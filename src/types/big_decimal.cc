@@ -30,7 +30,9 @@ BigDecimal BigDecimal::FromDecimal128(const Decimal128& v, int scale) {
   out.scale_ = scale;
   int128_t val = v.value();
   out.negative_ = val < 0;
-  uint128_t mag = out.negative_ ? static_cast<uint128_t>(-val)
+  // Negate in uint128: -val is signed overflow for val == INT128_MIN (a
+  // wrapped decimal sum accumulator can land there).
+  uint128_t mag = out.negative_ ? uint128_t{0} - static_cast<uint128_t>(val)
                                 : static_cast<uint128_t>(val);
   while (mag != 0) {
     out.limbs_.push_back(static_cast<uint32_t>(mag % kBase));

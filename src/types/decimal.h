@@ -11,6 +11,13 @@ namespace photon {
 using int128_t = __int128;
 using uint128_t = unsigned __int128;
 
+/// 10^38 - 1: the largest unscaled magnitude a decimal(38, s) holds.
+inline constexpr int128_t kMaxDecimal38 = [] {
+  int128_t v = 1;
+  for (int i = 0; i < 38; i++) v *= 10;
+  return v - 1;
+}();
+
 /// Fixed-point decimal backed by a native 128-bit integer. This is Photon's
 /// decimal representation: all arithmetic stays in machine integers, which
 /// is what gives the paper's Q1 its 23x speedup over the baseline engine's

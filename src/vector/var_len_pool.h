@@ -48,6 +48,20 @@ class VarLenPool {
     return out;
   }
 
+  /// Reserves `len` bytes aligned to `align` (a power of two up to the
+  /// chunks' 64-byte alignment), for fixed-layout structs kept among the
+  /// strings.
+  void* AllocateAligned(int32_t len, size_t align) {
+    size_t pad = (align - used_ % align) % align;
+    if (current_ == nullptr ||
+        used_ + pad + static_cast<size_t>(len) > current_->capacity()) {
+      NewChunk(static_cast<size_t>(len));
+    } else {
+      used_ += pad;
+    }
+    return AllocateBytes(len);
+  }
+
   /// Drops all strings; chunk memory of the first chunk is retained so the
   /// per-batch steady state does not reallocate.
   void Reset() {

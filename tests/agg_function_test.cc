@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "types/big_decimal.h"
 #include "vector/table.h"
 
 namespace photon {
@@ -180,6 +181,147 @@ TEST(AggFunctionTest, ResultTypes) {
   EXPECT_EQ(rt(AggKind::kCount, DataType::String()), DataType::Int64());
   EXPECT_FALSE(AggResultType(AggKind::kSum, DataType::String()).ok());
   EXPECT_FALSE(AggResultType(AggKind::kCollectList, DataType::Int32()).ok());
+}
+
+// --- Decimal sum/avg finalize vs the row engine's BigDecimal ---------------
+
+/// The row engine's decimal sum/avg (the baseline's SumDecimalState): an
+/// unbounded BigDecimal sum, divided by the count at the result scale for
+/// avg (rounding half away from zero), NULL past 38 digits.
+Value ReferenceSumAvg(const std::vector<int128_t>& vals, int arg_scale,
+                      const DataType& result, bool is_avg) {
+  if (vals.empty()) return Value::Null();
+  BigDecimal sum = BigDecimal::FromInt64(0, arg_scale);
+  for (int128_t v : vals) {
+    sum = sum.Add(BigDecimal::FromDecimal128(Decimal128(v), arg_scale));
+  }
+  if (is_avg) {
+    sum = sum.Divide(BigDecimal::FromInt64(static_cast<int64_t>(vals.size()),
+                                           0),
+                     result.scale());
+  }
+  Decimal128 out;
+  if (!sum.ToDecimal128(result.scale(), &out)) return Value::Null();
+  return Value::Decimal(out);
+}
+
+/// Runs sum and avg over `vals` and checks Finalize and the spill-merge
+/// round trip against ReferenceSumAvg.
+void ExpectSumAvgMatchReference(const DataType& arg,
+                                const std::vector<int128_t>& vals) {
+  std::vector<Value> values;
+  for (int128_t v : vals) values.push_back(Value::Decimal(Decimal128(v)));
+  for (AggKind kind : {AggKind::kSum, AggKind::kAvg}) {
+    bool is_avg = kind == AggKind::kAvg;
+    Result<DataType> result = AggResultType(kind, arg);
+    ASSERT_TRUE(result.ok());
+    Value expect = ReferenceSumAvg(vals, arg.scale(), *result, is_avg);
+    AggHarness h(kind, arg);
+    h.Update(values);
+    Value got = h.Finalize();
+    EXPECT_TRUE(got.Equals(expect))
+        << AggKindName(kind) << " over " << arg.ToString() << " of "
+        << vals.size() << " values: got " << got.ToString() << " want "
+        << expect.ToString();
+    EXPECT_TRUE(h.RoundTripAndFinalize().Equals(expect))
+        << AggKindName(kind) << " round trip over " << arg.ToString();
+  }
+}
+
+int128_t RandomUnscaled(Rng* rng, int precision) {
+  int digits = static_cast<int>(rng->Uniform(1, precision));
+  int128_t v = 0;
+  for (int i = 0; i < digits; i++) v = v * 10 + rng->Uniform(0, 9);
+  return rng->NextBool() ? -v : v;
+}
+
+TEST(AggFunctionTest, DecimalSumAvgMatchBigDecimalOnRandomInput) {
+  // Argument types cover avg shifts of 4 (scale +4), 2 (capped at scale
+  // 38) and 0, and 38-digit inputs whose sums wrap int128 — with wraps
+  // that cancel (mixed signs) and that do not (one sign).
+  const DataType kArgs[] = {DataType::Decimal(12, 2),
+                            DataType::Decimal(30, 10),
+                            DataType::Decimal(38, 6),
+                            DataType::Decimal(38, 36),
+                            DataType::Decimal(38, 38)};
+  Rng rng(1802);
+  for (const DataType& arg : kArgs) {
+    for (int trial = 0; trial < 60; trial++) {
+      int n = static_cast<int>(rng.Uniform(1, 40));
+      bool one_sign = rng.NextBool(0.3);
+      std::vector<int128_t> vals;
+      for (int i = 0; i < n; i++) {
+        int128_t v = RandomUnscaled(&rng, arg.precision());
+        vals.push_back(one_sign && v < 0 ? -v : v);
+      }
+      ExpectSumAvgMatchReference(arg, vals);
+    }
+  }
+}
+
+TEST(AggFunctionTest, DecimalSumAvgFinalizeBoundaries) {
+  const int128_t max38 = kMaxDecimal38;
+  DataType d38_0 = DataType::Decimal(38, 0);
+  // +-(10^38 - 1) exactly, and one past it.
+  ExpectSumAvgMatchReference(d38_0, {max38});
+  ExpectSumAvgMatchReference(d38_0, {-max38});
+  ExpectSumAvgMatchReference(d38_0, {max38, 1});
+  ExpectSumAvgMatchReference(d38_0, {-max38, -1});
+  // Wraps that cancel (the int128 sum ends exact) and that do not.
+  ExpectSumAvgMatchReference(d38_0, {max38, max38, -max38, -max38, 5});
+  ExpectSumAvgMatchReference(d38_0, {max38, max38, max38});
+  ExpectSumAvgMatchReference(d38_0, {-max38, -max38, -max38, 7});
+  // A wrapped accumulator landing exactly on -2^127 (INT128_MIN): the
+  // true sum is 2^127, too wide for 38 digits, but its avg at shift 0
+  // (2^126) fits.
+  int128_t two127_rest = static_cast<int128_t>(
+      (uint128_t{1} << 127) - static_cast<uint128_t>(max38));
+  ExpectSumAvgMatchReference(DataType::Decimal(38, 38), {max38, two127_rest});
+  {
+    AggHarness h(AggKind::kAvg, DataType::Decimal(38, 38));
+    h.Update({Value::Decimal(Decimal128(max38)),
+              Value::Decimal(Decimal128(two127_rest))});
+    EXPECT_EQ(h.Finalize().decimal().value(),
+              static_cast<int128_t>(uint128_t{1} << 126));
+  }
+  // An avg numerator |sum| * 10^shift past uint128 (shift 2 here) takes
+  // the exact fallback; the quotient 0.9 still fits dec(38,38).
+  int128_t nine_tenths = 9 * Decimal128::PowerOfTen(35);  // 0.9 at scale 36
+  ExpectSumAvgMatchReference(DataType::Decimal(38, 36),
+                             std::vector<int128_t>(5, nine_tenths));
+  ExpectSumAvgMatchReference(DataType::Decimal(38, 36),
+                             std::vector<int128_t>(5, -nine_tenths));
+  // Half-way quotients round away from zero, at shift 0 and at shift 4.
+  ExpectSumAvgMatchReference(DataType::Decimal(38, 38), {1, 0});
+  ExpectSumAvgMatchReference(DataType::Decimal(38, 38), {-1, 0});
+  ExpectSumAvgMatchReference(DataType::Decimal(38, 38), {2, 0, 0});
+  ExpectSumAvgMatchReference(DataType::Decimal(38, 38), {-1, 0, 0});
+  std::vector<int128_t> tie(20000, 0);  // 0.01 / 20000 = 0.0000005
+  tie[0] = 1;
+  ExpectSumAvgMatchReference(DataType::Decimal(12, 2), tie);
+  {
+    AggHarness h(AggKind::kAvg, DataType::Decimal(12, 2));
+    std::vector<Value> values;
+    for (int128_t v : tie) values.push_back(Value::Decimal(Decimal128(-v)));
+    h.Update(values);
+    EXPECT_EQ(h.Finalize().decimal().value(), -1);  // -0.000001
+  }
+}
+
+TEST(AggFunctionTest, CollectListNodesAreAligned) {
+  // Nodes interleave with odd-length strings in the arena; each must still
+  // sit at its natural alignment.
+  AggHarness h(AggKind::kCollectList, DataType::String());
+  h.Update({Value::String("a"), Value::String("bcd"), Value::String("efghi"),
+            Value::String("j")});
+  EXPECT_EQ(h.Finalize(), Value::String("[a, bcd, efghi, j]"));
+  VarLenPool pool;
+  pool.AllocateBytes(3);
+  void* p = pool.AllocateAligned(16, 8);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 8, 0u);
+  pool.AllocateBytes(1);
+  p = pool.AllocateAligned(24, 16);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % 16, 0u);
 }
 
 /// Property: sum/count/min/max agree with a scalar fold on random input,

@@ -142,6 +142,16 @@ TEST(BigDecimalTest, ToDecimal128RoundTrip) {
   EXPECT_EQ(d.ToString(2), "-9876543.21");
 }
 
+TEST(BigDecimalTest, FromDecimal128AtInt128Min) {
+  // -2^127 has no int128 negation; a wrapped decimal sum accumulator can
+  // hold it, so the magnitude must come out exact.
+  int128_t min = static_cast<int128_t>(uint128_t{1} << 127);
+  BigDecimal a = BigDecimal::FromDecimal128(Decimal128(min), 0);
+  EXPECT_EQ(a.ToString(), "-170141183460469231731687303715884105728");
+  EXPECT_EQ(BigDecimal::FromDecimal128(Decimal128(min), 38).ToString(),
+            "-1.70141183460469231731687303715884105728");
+}
+
 // Property test: BigDecimal arithmetic agrees with Decimal128 on random
 // inputs that fit in both (this is the invariant that lets the baseline
 // engine use BigDecimal while Photon uses native int128 — §5.6 semantics

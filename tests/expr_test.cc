@@ -5,10 +5,12 @@
 #include <cstring>
 #include <limits>
 
+#include "common/rng.h"
 #include "exec/driver.h"
 #include "expr/builder.h"
 #include "expr/function_registry.h"
 #include "expr/fusion.h"
+#include "expr/scalar_ops.h"
 #include "ops/fused_filter_project.h"
 #include "ops/scan.h"
 #include "plan/logical_plan.h"
@@ -425,8 +427,8 @@ TEST(ExprTest, IntegerOverflowEdges) {
 }
 
 // Decimal arithmetic past 38 digits of precision finalizes to NULL (Spark
-// non-ANSI) on both paths — the vectorized engine routes these shapes
-// through the checked BigDecimal fallback rather than wrapping int128.
+// non-ANSI) on both paths — the vectorized engine runs these capped shapes
+// on the checked int128 kernel rather than wrapping int128.
 TEST(ExprTest, DecimalOverflowEdgesAreNull) {
   Schema schema({Field("p", DataType::Decimal(38, 2)),
                  Field("q", DataType::Decimal(38, 2))});
@@ -721,9 +723,9 @@ TEST(TierParityTest, IntegerDivisionEdgesAcrossTiers) {
 }
 
 TEST(TierParityTest, DecimalOverflowRoutingAcrossTiers) {
-  // Regular shapes compile; near-overflow products at precision 38 route
-  // through the irregular BigDecimal path, which the compiled tier must
-  // leave to the interpreter — all tiers still agree (overflow -> NULL).
+  // Near-overflow sums and products at precision 38 are capped shapes:
+  // every tier, compiled included, runs the checked int128 kernel, and
+  // all agree with the oracle (overflow -> NULL).
   Schema schema({Field("p", DataType::Decimal(38, 2)),
                  Field("q", DataType::Decimal(38, 2))});
   Value near_max =
@@ -902,6 +904,259 @@ TEST(TierParityTest, Q9ProfitShapeNestedFusionParity) {
   ExprPtr d = Col(3, DataType::Int64(), "d");
   ti.Check(nullptr, {eb::Sub(eb::Mul(a, eb::Sub(Lit(int64_t{1}), b)),
                              eb::Mul(c, d))});
+}
+
+// --- Checked int128 decimal kernels ------------------------------------------
+//
+// Precision-capped decimal nodes run CheckedDecimalOp in every tier. These
+// tests diff it against the row oracle's BigDecimal path (EvaluateRow takes
+// it for every result above 18 digits) on random and boundary operands.
+
+/// A random decimal of up to `precision` digits (digit count uniform, so
+/// small and near-full magnitudes are both common), either sign.
+int128_t RandomUnscaled(Rng* rng, int precision) {
+  int digits = static_cast<int>(rng->Uniform(1, precision));
+  int128_t v = 0;
+  for (int i = 0; i < digits; i++) v = v * 10 + rng->Uniform(0, 9);
+  return rng->NextBool() ? -v : v;
+}
+
+/// Boundary operands for a decimal(precision, scale) column: zero, one
+/// ulp, the precision's maximum, a lone leading 1 or 9, 1.8 x 10^(p-1)
+/// (at p = 38 one more digit of scale passes 2^127), and exact halves at
+/// every scale position (the ties rounding must break away from zero),
+/// all with both signs.
+std::vector<int128_t> BoundaryUnscaled(int precision, int scale) {
+  int128_t max = Decimal128::MaxValueForPrecision(precision);
+  std::vector<int128_t> mags = {0, 1, max, max - 1,
+                                Decimal128::PowerOfTen(precision - 1),
+                                9 * Decimal128::PowerOfTen(precision - 1)};
+  if (precision >= 2) {
+    mags.push_back(18 * Decimal128::PowerOfTen(precision - 2));
+  }
+  for (int k = 1; k <= scale && k < precision; k++) {
+    mags.push_back(5 * Decimal128::PowerOfTen(k - 1));
+    mags.push_back(Decimal128::PowerOfTen(k) +
+                   5 * Decimal128::PowerOfTen(k - 1));
+  }
+  std::vector<int128_t> out;
+  for (int128_t m : mags) {
+    out.push_back(m);
+    out.push_back(-m);
+  }
+  return out;
+}
+
+struct CappedShape {
+  ArithOp op;
+  int p1, s1, p2, s2;
+};
+
+ExprPtr CappedExpr(const CappedShape& sh) {
+  ExprPtr l = Col(0, DataType::Decimal(sh.p1, sh.s1), "l");
+  ExprPtr r = Col(1, DataType::Decimal(sh.p2, sh.s2), "r");
+  switch (sh.op) {
+    case ArithOp::kAdd:
+      return eb::Add(l, r);
+    case ArithOp::kSub:
+      return eb::Sub(l, r);
+    case ArithOp::kMul:
+      return eb::Mul(l, r);
+    default:
+      return eb::Div(l, r);
+  }
+}
+
+// Shapes whose Spark result type is capped at 38 digits, covering a
+// result scale at the natural one (overflow is NULL outright), below it
+// (rounding; an int128 overflow takes the BigDecimal fallback), and
+// division with a scaled dividend that fits or overflows uint128.
+const CappedShape kCappedShapes[] = {
+    {ArithOp::kMul, 26, 4, 13, 2},   // TPC-H Q1 charge: dec(38,6), natural
+    {ArithOp::kMul, 38, 2, 38, 2},   // dec(38,4), natural
+    {ArithOp::kMul, 38, 10, 38, 10}, // dec(38,6), 14 digits dropped
+    {ArithOp::kMul, 20, 9, 30, 5},   // dec(38,6), 8 digits dropped
+    {ArithOp::kAdd, 38, 2, 38, 2},   // dec(38,2), natural
+    {ArithOp::kAdd, 38, 0, 38, 1},   // dec(38,1), natural, l aligned x10
+    {ArithOp::kSub, 38, 1, 38, 0},   // dec(38,1), natural, r aligned x10
+    {ArithOp::kSub, 38, 10, 38, 0},  // dec(38,6), 4 digits dropped
+    {ArithOp::kAdd, 38, 20, 20, 2},  // dec(38,19), 1 digit dropped
+    {ArithOp::kDiv, 38, 4, 10, 2},   // dec(38,6), dividend x 10^4
+    {ArithOp::kDiv, 20, 2, 38, 30},  // dec(38,6), dividend x 10^34
+};
+
+TEST(CheckedDecimalTest, ShapesAreCapped) {
+  for (const CappedShape& sh : kCappedShapes) {
+    ExprPtr e = CappedExpr(sh);
+    EXPECT_TRUE(DecimalArithIsChecked(sh.op, DataType::Decimal(sh.p1, sh.s1),
+                                      DataType::Decimal(sh.p2, sh.s2),
+                                      e->type()))
+        << e->ToString() << " -> " << e->type().ToString();
+    EXPECT_EQ(e->type().precision(), 38);
+  }
+}
+
+TEST(CheckedDecimalTest, KernelMatchesBigDecimalOnRandomAndBoundaryOperands) {
+  Rng rng(20220612);
+  for (const CappedShape& sh : kCappedShapes) {
+    ExprPtr e = CappedExpr(sh);
+    Schema schema({Field("l", DataType::Decimal(sh.p1, sh.s1)),
+                   Field("r", DataType::Decimal(sh.p2, sh.s2))});
+    std::vector<std::vector<Value>> rows;
+    std::vector<int128_t> lb = BoundaryUnscaled(sh.p1, sh.s1);
+    std::vector<int128_t> rb = BoundaryUnscaled(sh.p2, sh.s2);
+    for (int128_t x : lb) {
+      for (int128_t y : rb) {
+        rows.push_back({Value::Decimal(Decimal128(x)),
+                        Value::Decimal(Decimal128(y))});
+      }
+    }
+    for (int i = 0; i < 600; i++) {
+      rows.push_back({Value::Decimal(Decimal128(RandomUnscaled(&rng, sh.p1))),
+                      Value::Decimal(Decimal128(RandomUnscaled(&rng, sh.p2)))});
+    }
+    rows.push_back({Value::Null(), Value::Decimal(Decimal128(1))});
+    SCOPED_TRACE(e->ToString() + " -> " + e->type().ToString());
+    // Tree tier, all rows and a strict subset active, vs the oracle.
+    ExpressionTableTest(schema, rows).Check(e);
+    // Fused and compiled tiers, in batches a compiled step must cover.
+    for (size_t at = 0; at < rows.size(); at += 256) {
+      std::vector<std::vector<Value>> chunk(
+          rows.begin() + at,
+          rows.begin() + std::min(rows.size(), at + 256));
+      TierParityTest(schema, chunk).Check(nullptr, {e});
+    }
+  }
+}
+
+TEST(CheckedDecimalTest, RoundsTiesAwayFromZeroUnderScaleReduction) {
+  // dec(38,10) - dec(38,0) -> dec(38,6): four digits dropped.
+  ExprPtr l = Col(0, DataType::Decimal(38, 10), "l");
+  ExprPtr r = Col(1, DataType::Decimal(38, 0), "r");
+  ExprPtr e = eb::Sub(l, r);
+  ASSERT_EQ(e->type(), DataType::Decimal(38, 6));
+  auto eval = [&](int128_t x, int128_t y) {
+    Result<Value> v = e->EvaluateRow(
+        {Value::Decimal(Decimal128(x)), Value::Decimal(Decimal128(y))});
+    PHOTON_CHECK(v.ok());
+    return v->decimal().value();
+  };
+  EXPECT_EQ(eval(123456785000, 0), 12345679);     // tie: up
+  EXPECT_EQ(eval(-123456785000, 0), -12345679);   // tie: away from zero
+  EXPECT_EQ(eval(123456784999, 0), 12345678);     // below the tie
+  EXPECT_EQ(eval(5000, 0), 1);                    // 0.0000005 -> 0.000001
+  EXPECT_EQ(eval(-4999, 0), 0);
+  // The vectorized kernel agrees row for row (ties included).
+  Schema schema({Field("l", DataType::Decimal(38, 10)),
+                 Field("r", DataType::Decimal(38, 0))});
+  std::vector<std::vector<Value>> rows;
+  for (int128_t x : {int128_t{123456785000}, int128_t{-123456785000},
+                     int128_t{123456784999}, int128_t{5000},
+                     int128_t{-4999}, int128_t{-15000}}) {
+    rows.push_back({Value::Decimal(Decimal128(x)),
+                    Value::Decimal(Decimal128(int128_t{0}))});
+  }
+  TierParityTest(schema, rows).Check(nullptr, {e});
+}
+
+TEST(CheckedDecimalTest, Int128OverflowAtAndBelowTheNaturalScale) {
+  int128_t max38 = kMaxDecimal38;
+  // At the natural scale (dec(38,2) * dec(38,2) -> dec(38,4)): an int128
+  // overflow is NULL outright, as is a product in int128 range past 38
+  // digits, while the largest in-range product survives.
+  ExprPtr a = Col(0, DataType::Decimal(38, 2), "a");
+  ExprPtr b = Col(1, DataType::Decimal(38, 2), "b");
+  ExprPtr mul = eb::Mul(a, b);
+  ASSERT_EQ(mul->type(), DataType::Decimal(38, 4));
+  CheckedDecimalOp<ArithOp::kMul> natural(2, 2, 4);
+  int128_t out = 0;
+  EXPECT_FALSE(natural.Apply(max38, max38, &out));  // int128 overflow
+  EXPECT_FALSE(natural.Apply(Decimal128::PowerOfTen(19),
+                             Decimal128::PowerOfTen(19), &out));  // 10^38
+  EXPECT_TRUE(natural.Apply(max38, 1, &out));
+  EXPECT_EQ(out, max38);
+  EXPECT_TRUE(natural.Apply(-max38, 1, &out));
+  EXPECT_EQ(out, -max38);
+  // Below the natural scale (dec(38,10)^2 -> dec(38,6)): 10^37 * 10^11 =
+  // 10^48 overflows int128, but the exact 10^28 at scale 20 is 10^34
+  // unscaled at scale 6 — the BigDecimal fallback returns it.
+  CheckedDecimalOp<ArithOp::kMul> below(10, 10, 6);
+  EXPECT_TRUE(below.Apply(Decimal128::PowerOfTen(37),
+                          Decimal128::PowerOfTen(11), &out));
+  EXPECT_EQ(out, Decimal128::PowerOfTen(34));
+  EXPECT_TRUE(below.Apply(-Decimal128::PowerOfTen(37),
+                          Decimal128::PowerOfTen(11), &out));
+  EXPECT_EQ(out, -Decimal128::PowerOfTen(34));
+  // ... and an exact product still past 38 digits after rounding is NULL.
+  EXPECT_FALSE(below.Apply(max38, max38, &out));
+  // Add/sub at the extremes of 38 digits.
+  CheckedDecimalOp<ArithOp::kAdd> add(2, 2, 2);
+  EXPECT_FALSE(add.Apply(max38, 1, &out));
+  EXPECT_FALSE(add.Apply(-max38, -1, &out));
+  EXPECT_TRUE(add.Apply(max38, -1, &out));
+  EXPECT_EQ(out, max38 - 1);
+  CheckedDecimalOp<ArithOp::kSub> sub(2, 2, 2);
+  EXPECT_FALSE(sub.Apply(-max38, max38, &out));  // |result| = 2 * max38
+  EXPECT_TRUE(sub.Apply(max38, max38, &out));
+  EXPECT_EQ(out, 0);
+  // dec(38,0) + dec(38,1) -> dec(38,1): aligning 1.8e37 to scale 1
+  // overflows int128, yet the other operand cancels the sum back into
+  // range — an alignment overflow is not proof of NULL.
+  int128_t big = 18 * Decimal128::PowerOfTen(36);  // x10 > 2^127
+  int128_t e37 = Decimal128::PowerOfTen(37);
+  CheckedDecimalOp<ArithOp::kAdd> aligned(0, 1, 1);
+  EXPECT_TRUE(aligned.Apply(big, -9 * e37, &out));
+  EXPECT_TRUE(out == 9 * e37);
+  EXPECT_FALSE(aligned.Apply(big, 9 * e37, &out));
+  // The same rows through the expression agree with the oracle.
+  Schema schema({Field("a", DataType::Decimal(38, 2)),
+                 Field("b", DataType::Decimal(38, 2))});
+  std::vector<std::vector<Value>> rows = {
+      {Value::Decimal(Decimal128(max38)), Value::Decimal(Decimal128(max38))},
+      {Value::Decimal(Decimal128(max38)), Value::Decimal(Decimal128(1))},
+      {Value::Decimal(Decimal128(-max38)), Value::Decimal(Decimal128(-1))},
+      {Value::Decimal(Decimal128(Decimal128::PowerOfTen(19))),
+       Value::Decimal(Decimal128(Decimal128::PowerOfTen(19)))},
+  };
+  TierParityTest(schema, rows)
+      .Check(nullptr, {mul, eb::Add(a, b), eb::Sub(a, b)});
+}
+
+TEST(StaticTierTest, Q1ChargeRunsACompiledCheckedDecimalStep) {
+  // TPC-H Q1's charge, l_extendedprice * (1 - l_discount) * (1 + l_tax)
+  // over decimal(12,2) columns: the outer product is capped at
+  // dec(26,4) x dec(13,2) -> dec(38,6). It must run as a compiled step
+  // (the checked int128 kernel), not fall back to the interpreter.
+  Schema schema({Field("price", DataType::Decimal(12, 2)),
+                 Field("disc", DataType::Decimal(12, 2)),
+                 Field("tax", DataType::Decimal(12, 2))});
+  ExprPtr price = Col(0, DataType::Decimal(12, 2), "price");
+  ExprPtr disc = Col(1, DataType::Decimal(12, 2), "disc");
+  ExprPtr tax = Col(2, DataType::Decimal(12, 2), "tax");
+  ExprPtr disc_price = eb::Mul(price, eb::Sub(Lit(int32_t{1}), disc));
+  ExprPtr charge = eb::Mul(disc_price, eb::Add(Lit(int32_t{1}), tax));
+  ASSERT_EQ(charge->type(), DataType::Decimal(38, 6));
+  FusedStage project;
+  project.exprs = {disc_price, charge};
+  project.names = {"disc_price", "charge"};
+  Result<std::shared_ptr<const FusedUnit>> unit =
+      FusedUnit::Compile({project}, schema);
+  ASSERT_TRUE(unit.ok()) << unit.status().ToString();
+  const ExprProgram& prog = (*unit)->projection();
+  int charge_reg = prog.root_regs()[(*unit)->outputs()[1].root];
+  EXPECT_TRUE(prog.compiled_step(charge_reg) != nullptr)
+      << "capped charge product has no compiled step";
+
+  TableBuilder tb(schema, 4);
+  for (int i = 0; i < 12; i++) {
+    tb.AppendRow({Value::Decimal(Decimal128(int128_t{100000 + 997 * i})),
+                  Value::Decimal(Decimal128(int128_t{i % 11})),
+                  Value::Decimal(Decimal128(int128_t{i % 9}))});
+  }
+  Table table = tb.Finish();
+  obs::MetricSnapshot m = RunFusedUnderDefaultPolicy({project}, table);
+  EXPECT_EQ(m[obs::Metric::kExprCompiledBatches], 3);
+  EXPECT_EQ(m[obs::Metric::kExprFusedBatches], 0);
 }
 
 TEST(ExprDepthLimitTest, DeepTreesErrorCleanlyInsteadOfOverflowing) {

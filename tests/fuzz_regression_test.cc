@@ -205,6 +205,75 @@ TEST(FuzzRegressionTest, DecimalAvgOfWrappedSumStaysExact) {
   ExpectAllModesAgree(p);
 }
 
+Table MakeDecimalPairs(const std::vector<std::pair<int128_t, int128_t>>& rows,
+                       DataType left, DataType right) {
+  Schema schema({Field("l", left), Field("r", right)});
+  TableBuilder b(schema);
+  for (const auto& lr : rows) {
+    b.AppendRow({Value::Decimal(Decimal128(lr.first)),
+                 Value::Decimal(Decimal128(lr.second))});
+  }
+  return b.Finish();
+}
+
+// A precision-capped decimal product (dec(38,2) * dec(38,2) -> dec(38,4),
+// at the natural scale) whose exact value is past 38 digits must be NULL
+// in every tier, whether the int128 product overflows or merely exceeds
+// 10^38 - 1 — never a wrapped int128.
+TEST(FuzzRegressionTest, CappedDecimalOverflowIsNull) {
+  int128_t max38 = Decimal128::MaxValueForPrecision(38);
+  int128_t e19 = Decimal128::PowerOfTen(19);
+  Table t = MakeDecimalPairs({{max38, max38},   // int128 overflow
+                              {e19, e19},       // 10^38: fits int128
+                              {max38, 1},       // largest in-range product
+                              {-12345, 678}},
+                             DataType::Decimal(38, 2),
+                             DataType::Decimal(38, 2));
+  PlanPtr p = plan::Scan(&t);
+  p = plan::Project(p, {eb::Mul(plan::ColOf(p, "l"), plan::ColOf(p, "r"))},
+                    {"m"});
+
+  Result<Table> photon = SharedDriver()->RunSingleTask(p);
+  ASSERT_TRUE(photon.ok()) << photon.status().ToString();
+  ASSERT_EQ(photon->num_rows(), 4);
+  std::vector<Value> got;
+  for (int64_t i = 0; i < photon->num_rows(); i++) {
+    got.push_back(photon->GetRow(i)[0]);
+  }
+  EXPECT_TRUE(got[0].is_null());
+  EXPECT_TRUE(got[1].is_null());
+  EXPECT_EQ(got[2].decimal().value(), max38);
+  EXPECT_EQ(got[3].decimal().value(), -12345 * 678);
+
+  ExpectAllModesAgree(p);
+}
+
+// dec(38,10) + dec(38,0) is capped at dec(38,6): four digits are dropped,
+// and a dropped 5000 is a tie that rounds away from zero on both signs.
+TEST(FuzzRegressionTest, CappedDecimalTieRoundsAwayFromZero) {
+  Table t = MakeDecimalPairs({{123456785000, 0},
+                              {-123456785000, 0},
+                              {123456784999, 0},
+                              {-5000, 1}},
+                             DataType::Decimal(38, 10),
+                             DataType::Decimal(38, 0));
+  PlanPtr p = plan::Scan(&t);
+  p = plan::Project(p, {eb::Add(plan::ColOf(p, "l"), plan::ColOf(p, "r"))},
+                    {"s"});
+  ASSERT_EQ(p->output_schema.field(0).type, DataType::Decimal(38, 6));
+
+  Result<Table> photon = SharedDriver()->RunSingleTask(p);
+  ASSERT_TRUE(photon.ok()) << photon.status().ToString();
+  ASSERT_EQ(photon->num_rows(), 4);
+  EXPECT_EQ(photon->GetRow(0)[0].decimal().value(), 12345679);
+  EXPECT_EQ(photon->GetRow(1)[0].decimal().value(), -12345679);
+  EXPECT_EQ(photon->GetRow(2)[0].decimal().value(), 12345678);
+  // 1 - 0.0000005 = 0.9999995 -> 1.000000 (tie, away from zero).
+  EXPECT_EQ(photon->GetRow(3)[0].decimal().value(), 1000000);
+
+  ExpectAllModesAgree(p);
+}
+
 // Satellite: LimitOperator above a parallel stage must emit exactly
 // `limit` rows regardless of thread count (morsel-parallel runs race to
 // fill the limit).
