@@ -1,16 +1,21 @@
 // Optimizer recovery: the deliberately pessimal TPC-H Q3/Q5/Q9/Q10 plans
 // (src/tpch/tpch_misordered.cc — selective filters hoisted to the top,
 // lineitem on build sides, semi-join reducers last) run with the
-// cost-based optimizer (DESIGN.md §14) off and on. The off/on time ratio
-// is the recovery factor; each recovered result is checksum-verified
-// against the hand-ordered TpchQuery plan, and the hand-ordered time is
-// reported as the target the optimizer should approach.
+// cost-based optimizer (DESIGN.md §14) off and on, next to the
+// hand-ordered TpchQuery plan. Each recovered result is checksum-verified
+// against the hand-ordered one. Two ratios are reported:
+//   recovery = misordered / recovered — how much the optimizer saves; it
+//              also scales with executor speed (a faster join shrinks the
+//              misordered plans most), so it is printed, not gated;
+//   gap      = recovered / hand — how close the optimizer gets to the
+//              hand-ordered plan; this is the optimizer's own quality.
 //
-// Usage: bench_opt_recovery [--sf F] [--threads N] [--reps N]
-//                           [--min-recovery R] [--json PATH]
-//   --min-recovery R  exit nonzero unless the geomean recovery factor is
-//                     at least R (the ctest smoke gates at 10).
+// Usage: bench_opt_recovery [--sf F] [--threads N] [--reps N] [--gate]
+//                           [--json PATH]
+//   --gate  exit nonzero unless the geomean gap is at most 1.25 and every
+//           query's gap at most 1.5 (the ctest smoke runs with it).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -32,10 +37,9 @@ int main(int argc, char** argv) {
   if (const char* v = bench::FlagValue(argc, argv, "--reps")) {
     reps = std::atoi(v);
   }
-  double min_recovery = 0;
-  if (const char* v = bench::FlagValue(argc, argv, "--min-recovery")) {
-    min_recovery = std::atof(v);
-  }
+  constexpr double kMaxGeomeanGap = 1.25;
+  constexpr double kMaxQueryGap = 1.5;
+  const bool gate = bench::HasFlag(argc, argv, "--gate");
   const char* json_path = bench::FlagValue(argc, argv, "--json");
 
   std::printf(
@@ -43,8 +47,8 @@ int main(int argc, char** argv) {
       "runs)\n",
       sf, threads, threads == 1 ? "" : "s", reps);
   tpch::TpchData data = tpch::GenerateTpch(sf);
-  std::printf("  %4s %14s %13s %11s %10s %6s\n", "Q", "misordered(ms)",
-              "recovered(ms)", "hand(ms)", "recovery", "rows");
+  std::printf("  %4s %14s %13s %11s %10s %6s %6s\n", "Q", "misordered(ms)",
+              "recovered(ms)", "hand(ms)", "recovery", "gap", "rows");
 
   exec::Driver driver(threads);
   ExecContext opt_off;
@@ -60,6 +64,8 @@ int main(int argc, char** argv) {
 
   const int kQueries[] = {3, 5, 9, 10};
   double log_recovery_sum = 0;
+  double log_gap_sum = 0;
+  double max_gap = 0;
   int count = 0;
   int mismatches = 0;
   for (int q : kQueries) {
@@ -92,24 +98,33 @@ int main(int argc, char** argv) {
       mismatches++;
     }
     double recovery = static_cast<double>(mis_ns) / opt_ns;
-    std::printf("  %4d %14.1f %13.1f %11.1f %9.2fx %6lld\n", q,
+    double gap = static_cast<double>(opt_ns) / hand_ns;
+    std::printf("  %4d %14.1f %13.1f %11.1f %9.2fx %6.2f %6lld\n", q,
                 bench::Ms(mis_ns), bench::Ms(opt_ns), bench::Ms(hand_ns),
-                recovery, static_cast<long long>(hand_rows));
+                recovery, gap, static_cast<long long>(hand_rows));
     json.BeginObject();
     json.Field("q", q);
     json.Field("misordered_ms", bench::Ms(mis_ns));
     json.Field("recovered_ms", bench::Ms(opt_ns));
     json.Field("hand_ms", bench::Ms(hand_ns));
     json.Field("recovery", recovery);
+    json.Field("gap", gap);
     json.Field("rows", hand_rows);
     json.EndObject();
     log_recovery_sum += std::log(recovery);
+    log_gap_sum += std::log(gap);
+    max_gap = std::max(max_gap, gap);
     count++;
   }
   double geomean = std::exp(log_recovery_sum / count);
-  std::printf("  geometric-mean recovery: %.2fx\n", geomean);
+  double geomean_gap = std::exp(log_gap_sum / count);
+  std::printf("  geometric-mean recovery: %.2fx, gap to hand-ordered: %.2f "
+              "(max %.2f)\n",
+              geomean, geomean_gap, max_gap);
   json.EndArray();
   json.Field("geomean_recovery", geomean);
+  json.Field("geomean_gap", geomean_gap);
+  json.Field("max_gap", max_gap);
   json.Field("mismatches", mismatches);
   json.EndObject();
   if (json_path != nullptr) {
@@ -123,9 +138,10 @@ int main(int argc, char** argv) {
     std::printf("  %d queries MISMATCHED\n", mismatches);
     return 1;
   }
-  if (min_recovery > 0 && geomean < min_recovery) {
-    std::printf("  FAIL: geomean recovery %.2fx below bound %.2fx\n", geomean,
-                min_recovery);
+  if (gate && (geomean_gap > kMaxGeomeanGap || max_gap > kMaxQueryGap)) {
+    std::printf("  FAIL: recovered/hand gap geomean %.2f (bound %.2f), max "
+                "%.2f (bound %.2f)\n",
+                geomean_gap, kMaxGeomeanGap, max_gap, kMaxQueryGap);
     return 1;
   }
   return 0;

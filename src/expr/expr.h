@@ -287,7 +287,7 @@ class CallExpr : public Expr {
 int ApplyBooleanFilter(const ColumnVector& bools, ColumnBatch* batch);
 
 /// Evaluates `predicate` and filters the batch. Convenience wrapper used by
-/// the Filter operator and by hash join post-conditions.
+/// the Filter operator and the file scan's pushed-down predicate.
 Result<int> FilterBatch(const Expr& predicate, ColumnBatch* batch,
                         EvalContext* ctx);
 

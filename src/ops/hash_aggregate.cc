@@ -6,7 +6,8 @@
 namespace photon {
 namespace {
 
-// Spill-file key/value serialization helpers.
+// Spill-file key/value serialization helpers. Fixed-width keys travel as
+// their raw bytes; strings as a length-prefixed byte string.
 void WriteKeySlot(const DataType& type, const VectorizedHashTable& table,
                   const uint8_t* entry, int k, BinaryWriter* out) {
   if (table.KeyIsNull(entry, k)) {
@@ -15,28 +16,12 @@ void WriteKeySlot(const DataType& type, const VectorizedHashTable& table,
   }
   out->WriteU8(0);
   const uint8_t* slot = table.key_slot(entry, k);
-  switch (type.id()) {
-    case TypeId::kBoolean:
-      out->WriteU8(*slot);
-      break;
-    case TypeId::kInt32:
-    case TypeId::kDate32:
-      out->Append(slot, 4);
-      break;
-    case TypeId::kInt64:
-    case TypeId::kTimestamp:
-    case TypeId::kFloat64:
-      out->Append(slot, 8);
-      break;
-    case TypeId::kDecimal128:
-      out->Append(slot, 16);
-      break;
-    case TypeId::kString: {
-      StringRef s;
-      std::memcpy(&s, slot, sizeof(s));
-      out->WriteString(std::string_view(s.data, s.len));
-      break;
-    }
+  if (type.is_var_len()) {
+    StringRef s;
+    std::memcpy(&s, slot, sizeof(s));
+    out->WriteString(std::string_view(s.data, s.len));
+  } else {
+    out->Append(slot, type.byte_width());
   }
 }
 
@@ -49,32 +34,20 @@ Status ReadKeyIntoVector(const DataType& type, BinaryReader* in,
     return Status::OK();
   }
   vec->SetNotNull(row);
-  switch (type.id()) {
-    case TypeId::kBoolean:
-      return in->ReadU8(&vec->data<uint8_t>()[row]);
-    case TypeId::kInt32:
-    case TypeId::kDate32:
-      return in->ReadI32(&vec->data<int32_t>()[row]);
-    case TypeId::kInt64:
-    case TypeId::kTimestamp:
-      return in->ReadI64(&vec->data<int64_t>()[row]);
-    case TypeId::kFloat64:
-      return in->ReadF64(&vec->data<double>()[row]);
-    case TypeId::kDecimal128:
-      return in->ReadRaw(&vec->data<int128_t>()[row], 16);
-    case TypeId::kString: {
-      // Zero-copy: the ref points into the serialized bytes, which outlive
-      // the merge; inserting the key copies it into the table's arena.
-      uint64_t len = 0;
-      const uint8_t* bytes = nullptr;
-      PHOTON_RETURN_NOT_OK(in->ReadVarU64(&len));
-      PHOTON_RETURN_NOT_OK(in->ReadSpan(len, &bytes));
-      vec->SetStringRef(row, StringRef(reinterpret_cast<const char*>(bytes),
-                                       static_cast<int32_t>(len)));
-      return Status::OK();
-    }
+  if (!type.is_var_len()) {
+    const int width = type.byte_width();
+    return in->ReadRaw(vec->data<uint8_t>() + static_cast<size_t>(row) * width,
+                       width);
   }
-  return Status::Internal("bad key type");
+  // Zero-copy: the ref points into the serialized bytes, which outlive the
+  // merge; inserting the key copies it into the table's arena.
+  uint64_t len = 0;
+  const uint8_t* bytes = nullptr;
+  PHOTON_RETURN_NOT_OK(in->ReadVarU64(&len));
+  PHOTON_RETURN_NOT_OK(in->ReadSpan(len, &bytes));
+  vec->SetStringRef(row, StringRef(reinterpret_cast<const char*>(bytes),
+                                   static_cast<int32_t>(len)));
+  return Status::OK();
 }
 
 /// Final-merge partition of a hash table entry, from its stored hash.
@@ -84,11 +57,13 @@ int MergePartitionOf(const uint8_t* entry) {
       HashAggregateOperator::kPartitionBits);
 }
 
-/// Writes a hash table key column into an output vector (typed, no boxing).
+/// Writes a hash table key column into an output vector (typed, no
+/// boxing); string bytes are copied into the vector's pool.
 void EmitKeyColumn(const VectorizedHashTable& table,
                    const std::vector<uint8_t*>& entries, size_t begin,
                    int count, int k, ColumnVector* out) {
   const DataType& type = table.key_type(k);
+  const int width = type.byte_width();
   for (int i = 0; i < count; i++) {
     const uint8_t* entry = entries[begin + i];
     if (table.KeyIsNull(entry, k)) {
@@ -97,30 +72,13 @@ void EmitKeyColumn(const VectorizedHashTable& table,
     }
     out->SetNotNull(i);
     const uint8_t* slot = table.key_slot(entry, k);
-    switch (type.id()) {
-      case TypeId::kBoolean:
-        out->data<uint8_t>()[i] = *slot;
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate32:
-        std::memcpy(&out->data<int32_t>()[i], slot, 4);
-        break;
-      case TypeId::kInt64:
-      case TypeId::kTimestamp:
-        std::memcpy(&out->data<int64_t>()[i], slot, 8);
-        break;
-      case TypeId::kFloat64:
-        std::memcpy(&out->data<double>()[i], slot, 8);
-        break;
-      case TypeId::kDecimal128:
-        std::memcpy(&out->data<int128_t>()[i], slot, 16);
-        break;
-      case TypeId::kString: {
-        StringRef s;
-        std::memcpy(&s, slot, sizeof(s));
-        out->SetString(i, s.data, s.len);
-        break;
-      }
+    if (type.is_var_len()) {
+      StringRef s;
+      std::memcpy(&s, slot, sizeof(s));
+      out->SetString(i, s.data, s.len);
+    } else {
+      std::memcpy(out->data<uint8_t>() + static_cast<size_t>(i) * width, slot,
+                  width);
     }
   }
 }

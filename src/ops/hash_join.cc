@@ -1,5 +1,6 @@
 #include "ops/hash_join.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "expr/eval_context.h"
@@ -27,43 +28,26 @@ int ComputePayloadLayout(const Schema& build_schema,
 }
 
 /// Packs build row `row` of `batch` into `entry`'s payload; string bytes go
-/// to `table`'s arena (the partition holding the entry).
+/// to `table`'s arena (the partition holding the entry). A NULL value's
+/// bytes are zeroed, so a gathered NULL string is an empty ref.
 void WriteBuildPayload(const JoinBuildState& state, VectorizedHashTable* table,
                        const ColumnBatch& batch, int row, uint8_t* entry) {
   uint8_t* payload = table->payload(entry);
   for (int c = 0; c < state.build_schema.num_fields(); c++) {
     uint8_t* slot = payload + state.payload_offsets[c];
     const ColumnVector& col = *batch.column(c);
-    if (col.IsNull(row)) {
-      *slot = 1;
-      continue;
-    }
-    *slot = 0;
-    uint8_t* value = slot + 1;
-    switch (col.type().id()) {
-      case TypeId::kBoolean:
-        *value = col.data<uint8_t>()[row];
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate32:
-        std::memcpy(value, &col.data<int32_t>()[row], 4);
-        break;
-      case TypeId::kInt64:
-      case TypeId::kTimestamp:
-        std::memcpy(value, &col.data<int64_t>()[row], 8);
-        break;
-      case TypeId::kFloat64:
-        std::memcpy(value, &col.data<double>()[row], 8);
-        break;
-      case TypeId::kDecimal128:
-        std::memcpy(value, &col.data<int128_t>()[row], 16);
-        break;
-      case TypeId::kString: {
-        StringRef s = col.data<StringRef>()[row];
-        StringRef owned = table->string_arena()->AddString(s);
-        std::memcpy(value, &owned, sizeof(owned));
-        break;
-      }
+    const int width = col.type().byte_width();
+    *slot = col.IsNull(row) ? 1 : 0;
+    if (*slot) {
+      std::memset(slot + 1, 0, width);
+    } else if (col.type().is_var_len()) {
+      StringRef owned =
+          table->string_arena()->AddString(col.data<StringRef>()[row]);
+      std::memcpy(slot + 1, &owned, sizeof(owned));
+    } else {
+      std::memcpy(slot + 1,
+                  col.data<uint8_t>() + static_cast<size_t>(row) * width,
+                  width);
     }
   }
 }
@@ -146,6 +130,63 @@ JoinBuildPtr MakeBuildState(const Schema& build_schema,
     state->registered = true;
   }
   return state;
+}
+
+/// A payload slot standing for a NULL-padded (left outer) build row.
+constexpr uint8_t kNullSlot[1 + 16] = {1};
+
+/// Copies one W-byte build column out of the payload slots of `entries`
+/// into rows [0, n) of `out`; a null entry NULL-pads. Strings come out as
+/// refs into the build table's arena.
+template <int W>
+void GatherPayloadColumn(const PartitionedHashTable& table,
+                         const uint8_t* const* entries, int n, int offset,
+                         ColumnVector* out) {
+  uint8_t* PHOTON_RESTRICT values = out->data<uint8_t>();
+  uint8_t* PHOTON_RESTRICT nulls = out->nulls();
+  uint8_t any_null = 0;
+  for (int i = 0; i < n; i++) {
+    const uint8_t* slot = entries[i] == nullptr
+                              ? kNullSlot
+                              : table.payload(entries[i]) + offset;
+    nulls[i] = slot[0];
+    any_null |= slot[0];
+    std::memcpy(values + static_cast<size_t>(i) * W, slot + 1, W);
+  }
+  out->set_has_nulls(any_null ? TriState::kYes : TriState::kNo);
+  out->set_all_ascii(TriState::kUnknown);
+}
+
+/// Fills the build columns of `dst` (starting at column `first_col`) from
+/// `entries`, with one dispatch (on byte width) per column.
+void GatherBuildColumns(const JoinBuildState& state,
+                        const uint8_t* const* entries, int n, ColumnBatch* dst,
+                        int first_col) {
+  const PartitionedHashTable& table = *state.table;
+  for (int c = 0; c < state.build_schema.num_fields(); c++) {
+    ColumnVector* out = dst->column(first_col + c);
+    const int offset = state.payload_offsets[c];
+    switch (out->type().byte_width()) {
+      case 1:
+        GatherPayloadColumn<1>(table, entries, n, offset, out);
+        break;
+      case 4:
+        GatherPayloadColumn<4>(table, entries, n, offset, out);
+        break;
+      case 8:
+        GatherPayloadColumn<8>(table, entries, n, offset, out);
+        break;
+      default:
+        GatherPayloadColumn<16>(table, entries, n, offset, out);
+        break;
+    }
+  }
+}
+
+/// Whether the residual passed at `row`: true and not NULL, as in
+/// ApplyBooleanFilter.
+bool Passed(const ColumnVector& bools, int row) {
+  return bools.data<uint8_t>()[row] != 0 && !bools.IsNull(row);
 }
 
 }  // namespace
@@ -348,157 +389,6 @@ Status HashJoinOperator::BuildPhase() {
   return Status::OK();
 }
 
-void HashJoinOperator::EmitProbeColumns(const ColumnBatch& batch, int row,
-                                        int out_row) {
-  for (int c = 0; c < batch.num_columns(); c++) {
-    const ColumnVector& in = *batch.column(c);
-    ColumnVector* out = out_->column(c);
-    if (in.IsNull(row)) {
-      out->SetNull(out_row);
-      continue;
-    }
-    out->SetNotNull(out_row);
-    switch (in.type().id()) {
-      case TypeId::kBoolean:
-        out->data<uint8_t>()[out_row] = in.data<uint8_t>()[row];
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate32:
-        out->data<int32_t>()[out_row] = in.data<int32_t>()[row];
-        break;
-      case TypeId::kInt64:
-      case TypeId::kTimestamp:
-        out->data<int64_t>()[out_row] = in.data<int64_t>()[row];
-        break;
-      case TypeId::kFloat64:
-        out->data<double>()[out_row] = in.data<double>()[row];
-        break;
-      case TypeId::kDecimal128:
-        out->data<int128_t>()[out_row] = in.data<int128_t>()[row];
-        break;
-      case TypeId::kString: {
-        StringRef s = in.data<StringRef>()[row];
-        out->SetString(out_row, s.data, s.len);
-        break;
-      }
-    }
-  }
-}
-
-void HashJoinOperator::EmitBuildColumns(const uint8_t* entry, int out_row) {
-  int base = probe_->output_schema().num_fields();
-  for (int c = 0; c < state_->build_schema.num_fields(); c++) {
-    ColumnVector* out = out_->column(base + c);
-    if (entry == nullptr) {
-      out->SetNull(out_row);
-      continue;
-    }
-    const uint8_t* slot =
-        state_->table->payload(entry) + state_->payload_offsets[c];
-    if (*slot) {
-      out->SetNull(out_row);
-      continue;
-    }
-    out->SetNotNull(out_row);
-    const uint8_t* value = slot + 1;
-    switch (state_->build_schema.field(c).type.id()) {
-      case TypeId::kBoolean:
-        out->data<uint8_t>()[out_row] = *value;
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate32:
-        std::memcpy(&out->data<int32_t>()[out_row], value, 4);
-        break;
-      case TypeId::kInt64:
-      case TypeId::kTimestamp:
-        std::memcpy(&out->data<int64_t>()[out_row], value, 8);
-        break;
-      case TypeId::kFloat64:
-        std::memcpy(&out->data<double>()[out_row], value, 8);
-        break;
-      case TypeId::kDecimal128:
-        std::memcpy(&out->data<int128_t>()[out_row], value, 16);
-        break;
-      case TypeId::kString: {
-        StringRef s;
-        std::memcpy(&s, value, sizeof(s));
-        out->SetString(out_row, s.data, s.len);
-        break;
-      }
-    }
-  }
-}
-
-Result<bool> HashJoinOperator::ResidualMatches(const ColumnBatch& batch,
-                                               int probe_row,
-                                               const uint8_t* entry) {
-  if (residual_ == nullptr) return true;
-  // Boxed combined row: probe columns then build columns.
-  std::vector<Value> row;
-  row.reserve(batch.num_columns() + state_->build_schema.num_fields());
-  for (int c = 0; c < batch.num_columns(); c++) {
-    row.push_back(batch.column(c)->GetValue(probe_row));
-  }
-  for (int c = 0; c < state_->build_schema.num_fields(); c++) {
-    const uint8_t* slot =
-        state_->table->payload(entry) + state_->payload_offsets[c];
-    if (*slot) {
-      row.push_back(Value::Null());
-      continue;
-    }
-    const uint8_t* value = slot + 1;
-    switch (state_->build_schema.field(c).type.id()) {
-      case TypeId::kBoolean:
-        row.push_back(Value::Boolean(*value != 0));
-        break;
-      case TypeId::kInt32: {
-        int32_t v;
-        std::memcpy(&v, value, 4);
-        row.push_back(Value::Int32(v));
-        break;
-      }
-      case TypeId::kDate32: {
-        int32_t v;
-        std::memcpy(&v, value, 4);
-        row.push_back(Value::Date32(v));
-        break;
-      }
-      case TypeId::kInt64: {
-        int64_t v;
-        std::memcpy(&v, value, 8);
-        row.push_back(Value::Int64(v));
-        break;
-      }
-      case TypeId::kTimestamp: {
-        int64_t v;
-        std::memcpy(&v, value, 8);
-        row.push_back(Value::Timestamp(v));
-        break;
-      }
-      case TypeId::kFloat64: {
-        double v;
-        std::memcpy(&v, value, 8);
-        row.push_back(Value::Float64(v));
-        break;
-      }
-      case TypeId::kDecimal128: {
-        int128_t v;
-        std::memcpy(&v, value, 16);
-        row.push_back(Value::Decimal(Decimal128(v)));
-        break;
-      }
-      case TypeId::kString: {
-        StringRef s;
-        std::memcpy(&s, value, sizeof(s));
-        row.push_back(Value::String(std::string(s.data, s.len)));
-        break;
-      }
-    }
-  }
-  PHOTON_ASSIGN_OR_RETURN(Value v, residual_->EvaluateRow(row));
-  return !v.is_null() && v.boolean();
-}
-
 Status HashJoinOperator::ProbeBatch(ColumnBatch* batch) {
   int n = batch->num_active();
   std::vector<const ColumnVector*> key_vecs;
@@ -520,16 +410,19 @@ Status HashJoinOperator::ProbeBatch(ColumnBatch* batch) {
   return Status::OK();
 }
 
-/// Copies active rows of `accum_source_` (from `accum_source_pos_`) into
-/// the compaction buffer until it fills or the source is drained.
+/// Gathers active rows of `accum_source_` (from `accum_source_pos_`) into
+/// the compaction buffer until it fills or the source is drained. Strings
+/// are deep-copied: the source batch is gone by the time the buffer is
+/// probed.
 void HashJoinOperator::DrainSparseSource() {
-  int n = accum_source_->num_active();
-  while (accum_source_pos_ < n && accum_rows_ < accum_->capacity()) {
-    CopyRow(*accum_source_, accum_source_->ActiveRow(accum_source_pos_),
-            accum_.get(), accum_rows_);
-    accum_source_pos_++;
-    accum_rows_++;
-  }
+  PHOTON_DCHECK(!accum_source_->all_active());
+  const int n = accum_source_->num_active();
+  const int take = std::min(n - accum_source_pos_,
+                            accum_->capacity() - accum_rows_);
+  GatherRows(*accum_source_, accum_source_->pos_list() + accum_source_pos_,
+             take, accum_.get(), accum_rows_, StringGather::kCopy);
+  accum_source_pos_ += take;
+  accum_rows_ += take;
   if (accum_source_pos_ >= n) accum_source_ = nullptr;
 }
 
@@ -600,86 +493,188 @@ Result<ColumnBatch*> HashJoinOperator::ProbeNextBatch() {
   }
 }
 
-Result<ColumnBatch*> HashJoinOperator::EmitMatches() {
-  // Semi/anti: narrow the probe batch's position list in place.
-  if (join_type_ == JoinType::kLeftSemi || join_type_ == JoinType::kLeftAnti) {
-    ColumnBatch* batch = probe_batch_;
-    int n = batch->num_active();
-    int32_t* pos = batch->mutable_pos_list();
-    int out = 0;
-    for (int i = 0; i < n; i++) {
-      int row = batch->ActiveRow(i);
-      bool matched = false;
-      for (const uint8_t* e = match_heads_[i]; e != nullptr;
-           e = VectorizedHashTable::next(e)) {
-        PHOTON_ASSIGN_OR_RETURN(bool ok, ResidualMatches(*batch, row, e));
-        if (ok) {
-          matched = true;
-          break;
-        }
+void HashJoinOperator::GatherPairs(const ColumnBatch& probe, int n,
+                                   ColumnBatch* dst) {
+  GatherRows(probe, pair_rows_.data(), n, dst, 0, StringGather::kRef);
+  GatherBuildColumns(*state_, pair_entries_.data(), n, dst,
+                     probe.num_columns());
+  dst->set_num_rows(n);
+  dst->SetAllActive();
+}
+
+Status HashJoinOperator::MatchResidualByRound(const ColumnBatch& batch) {
+  const int n = batch.num_active();
+  if (candidates_ == nullptr || candidates_->capacity() < n) {
+    candidates_ = std::make_unique<ColumnBatch>(
+        MakeOutputSchema(state_->build_schema, probe_->output_schema(),
+                         JoinType::kInner),
+        std::max(n, exec_ctx_.batch_size));
+  }
+  const int cap = candidates_->capacity();
+  pair_rows_.resize(cap);
+  pair_entries_.resize(cap);
+  // match_heads_[i] serves as row i's cursor: the next untested candidate.
+  undecided_.clear();
+  for (int i = 0; i < n; i++) {
+    if (match_heads_[i] != nullptr) undecided_.push_back(i);
+  }
+  while (!undecided_.empty()) {
+    // One round, one candidate batch: the next `per_row` candidates of
+    // every undecided row. For a full probe batch it starts at one
+    // (Q21-shaped joins mostly decide on the first candidate) and widens
+    // as rows are decided, so long chains take few rounds.
+    const int per_row = cap / static_cast<int>(undecided_.size());
+    int count = 0;
+    round_ends_.clear();
+    for (const int i : undecided_) {
+      const int row = batch.ActiveRow(i);
+      uint8_t*& cursor = match_heads_[i];
+      for (int k = 0; k < per_row && cursor != nullptr; k++) {
+        pair_rows_[count] = row;
+        pair_entries_[count] = cursor;
+        count++;
+        cursor = VectorizedHashTable::next(cursor);
       }
-      bool keep = join_type_ == JoinType::kLeftSemi ? matched : !matched;
-      if (keep) pos[out++] = row;
+      round_ends_.push_back(count);
     }
-    batch->SetActiveRows(out);
-    probe_batch_ = nullptr;  // fully consumed
-    return out > 0 ? batch : nullptr;
+    candidates_->Reset();
+    GatherPairs(batch, count, candidates_.get());
+    ctx_.ResetPerBatch();
+    PHOTON_ASSIGN_OR_RETURN(ColumnVector * bools,
+                            residual_->Evaluate(candidates_.get(), &ctx_));
+    size_t kept = 0;
+    int slot = 0;
+    for (size_t r = 0; r < undecided_.size(); r++) {
+      const int i = undecided_[r];
+      bool hit = false;
+      for (; slot < round_ends_[r]; slot++) hit |= Passed(*bools, slot);
+      if (hit) {
+        matched_[i] = 1;
+      } else if (match_heads_[i] != nullptr) {
+        undecided_[kept++] = i;
+      }
+    }
+    undecided_.resize(kept);
+  }
+  return Status::OK();
+}
+
+Result<ColumnBatch*> HashJoinOperator::EmitSemiAnti() {
+  // Narrow the probe batch's position list in place.
+  ColumnBatch* batch = probe_batch_;
+  probe_batch_ = nullptr;  // fully consumed
+  const int n = batch->num_active();
+  matched_.assign(n, 0);
+  if (residual_ == nullptr) {
+    for (int i = 0; i < n; i++) matched_[i] = match_heads_[i] != nullptr;
+  } else {
+    PHOTON_RETURN_NOT_OK(MatchResidualByRound(*batch));
+  }
+  const uint8_t keep = join_type_ == JoinType::kLeftSemi ? 1 : 0;
+  int32_t* pos = batch->mutable_pos_list();
+  int out = 0;
+  for (int i = 0; i < n; i++) {
+    const int row = batch->ActiveRow(i);
+    if (matched_[i] == keep) pos[out++] = row;
+  }
+  batch->SetActiveRows(out);
+  return out > 0 ? batch : nullptr;
+}
+
+void HashJoinOperator::ReduceOuterPasses(const ColumnVector& bools, int n,
+                                         bool carried) {
+  // A probe row's slots are consecutive; a null entry is a row without
+  // candidates, already NULL-padded.
+  int32_t* pos = out_->mutable_pos_list();
+  int kept = 0;
+  int begin = 0;       // first slot of the current probe row
+  bool any = carried;  // the current row has a passing candidate
+  for (int s = 0; s < n; s++) {
+    if (s > 0 && pair_rows_[s] != pair_rows_[s - 1]) {
+      begin = s;
+      any = false;
+    }
+    if (pair_entries_[s] == nullptr || Passed(bools, s)) {
+      pos[kept++] = s;
+      any = true;
+    }
+    const bool row_done =
+        s + 1 < n ? pair_rows_[s + 1] != pair_rows_[s] : !chain_open_;
+    if (row_done && !any) {
+      // Every candidate failed: the row's first slot becomes its
+      // NULL-padded output.
+      for (int c = probe_->output_schema().num_fields();
+           c < out_->num_columns(); c++) {
+        out_->column(c)->SetNull(begin);
+      }
+      pos[kept++] = begin;
+    }
+  }
+  if (chain_open_) chain_matched_ = any;  // continues in the next batch
+  out_->SetActiveRows(kept);
+}
+
+Result<ColumnBatch*> HashJoinOperator::EmitMatches() {
+  if (join_type_ == JoinType::kLeftSemi || join_type_ == JoinType::kLeftAnti) {
+    return EmitSemiAnti();
   }
 
-  // Inner / left outer: gather matching pairs into the output batch.
+  // Inner / left outer: record the match vectors of one output batch, in
+  // probe order and chain order, then gather them column by column.
   if (out_ == nullptr) {
     out_ = std::make_unique<ColumnBatch>(output_schema_,
                                          exec_ctx_.batch_size);
   }
   out_->Reset();
-  int out_row = 0;
-  int n = probe_batch_->num_active();
-  while (probe_idx_ < n && out_row < out_->capacity()) {
-    int row = probe_batch_->ActiveRow(probe_idx_);
+  const bool outer = join_type_ == JoinType::kLeftOuter;
+  const int cap = out_->capacity();
+  pair_rows_.resize(cap);
+  pair_entries_.resize(cap);
+  // A chain cut by the previous output batch continues here.
+  const bool carried = chain_open_ && chain_matched_;
+
+  ColumnBatch* probe = probe_batch_;
+  const int n = probe->num_active();
+  int count = 0;
+  while (probe_idx_ < n && count < cap) {
+    const int row = probe->ActiveRow(probe_idx_);
     if (!chain_open_) {
-      // Starting this probe row.
       chain_entry_ = match_heads_[probe_idx_];
-      chain_open_ = true;
-      chain_matched_ = false;
-    }
-    while (chain_entry_ != nullptr && out_row < out_->capacity()) {
-      // Left outer evaluates the residual per candidate pair (like
-      // semi/anti): only passing pairs are matches, and a probe row whose
-      // candidates all fail is NULL-padded below. Inner instead defers to
-      // the vectorized FilterBatch over the emitted batch.
-      if (residual_ != nullptr && join_type_ == JoinType::kLeftOuter) {
-        PHOTON_ASSIGN_OR_RETURN(
-            bool ok, ResidualMatches(*probe_batch_, row, chain_entry_));
-        if (!ok) {
-          chain_entry_ = VectorizedHashTable::next(chain_entry_);
-          continue;
+      if (chain_entry_ == nullptr) {
+        if (outer) {  // unmatched left-outer row: one NULL-padded slot
+          pair_rows_[count] = row;
+          pair_entries_[count] = nullptr;
+          count++;
         }
+        probe_idx_++;
+        continue;
       }
-      EmitProbeColumns(*probe_batch_, row, out_row);
-      EmitBuildColumns(chain_entry_, out_row);
-      out_row++;
-      chain_matched_ = true;
+      chain_open_ = true;
+    }
+    while (chain_entry_ != nullptr && count < cap) {
+      pair_rows_[count] = row;
+      pair_entries_[count] = chain_entry_;
+      count++;
       chain_entry_ = VectorizedHashTable::next(chain_entry_);
     }
     if (chain_entry_ != nullptr) break;  // output batch full mid-chain
-    if (join_type_ == JoinType::kLeftOuter && !chain_matched_) {
-      if (out_row >= out_->capacity()) break;  // NULL-pad in the next batch
-      EmitProbeColumns(*probe_batch_, row, out_row);
-      EmitBuildColumns(nullptr, out_row);
-      out_row++;
-    }
     chain_open_ = false;
     probe_idx_++;
   }
   if (probe_idx_ >= n) probe_batch_ = nullptr;  // batch exhausted
-  if (out_row == 0) return nullptr;
-  out_->set_num_rows(out_row);
-  out_->SetAllActive();
-  if (residual_ != nullptr && join_type_ == JoinType::kInner) {
+  if (count == 0) return nullptr;
+
+  GatherPairs(*probe, count, out_.get());
+  if (residual_ != nullptr) {
     ctx_.ResetPerBatch();
-    PHOTON_ASSIGN_OR_RETURN(int active,
-                            FilterBatch(*residual_, out_.get(), &ctx_));
-    if (active == 0) return nullptr;
+    PHOTON_ASSIGN_OR_RETURN(ColumnVector * bools,
+                            residual_->Evaluate(out_.get(), &ctx_));
+    if (outer) {
+      ReduceOuterPasses(*bools, count, carried);
+    } else {
+      ApplyBooleanFilter(*bools, out_.get());
+    }
+    if (out_->num_active() == 0) return nullptr;
   }
   return out_.get();
 }

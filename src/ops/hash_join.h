@@ -114,14 +114,25 @@ class PartitionedJoinBuild {
 /// it into a dense batch before probing so the bucket loads saturate memory
 /// parallelism instead of paying per-miss latency on a mostly-idle batch.
 ///
+/// Output is produced column at a time: walking the match chains records
+/// *match vectors* — (probe row, build entry) pairs in output order, a null
+/// entry for a NULL-padded left-outer row — and then each output column is
+/// filled in one loop. Probe strings are emitted as refs (the probe batch
+/// outlives the output batch, and every consumer that keeps a batch
+/// deep-copies it); build columns are copied fixed-width out of the payload
+/// slots, strings as refs into the build table's arena.
+///
 /// Semi/anti joins return the probe batch itself with its position list
 /// narrowed to (non-)matching rows — no output copying at all. An optional
-/// `residual` predicate supports non-equi conditions:
-///   - inner: evaluated vectorized over emitted output batches;
-///   - semi/anti: evaluated per candidate (probe row, build row) pair;
-///   - left outer: evaluated per candidate pair, and a probe row whose
-///     candidates all fail the residual is emitted NULL-padded (it is an
-///     unmatched row under the full join condition).
+/// `residual` predicate supports non-equi conditions, evaluated vectorized
+/// over batches of candidate pairs:
+///   - inner: over the emitted output batch;
+///   - left outer: over the emitted candidate pairs; passing pairs are
+///     emitted in chain order, and a probe row whose candidates all fail is
+///     emitted once NULL-padded (it is unmatched under the full condition);
+///   - semi/anti: in rounds by chain position — each round tests the next
+///     candidates of the probe rows still undecided, and a row is decided by
+///     its first passing candidate or by running out of candidates.
 class HashJoinOperator : public Operator {
  public:
   /// Self-building join: drains `build` into a private hash table on the
@@ -161,17 +172,22 @@ class HashJoinOperator : public Operator {
 
  private:
   Status BuildPhase();
-  /// Copies build columns of `entry` into output columns at out_row (or
-  /// NULLs when entry == nullptr, for left outer).
-  void EmitBuildColumns(const uint8_t* entry, int out_row);
-  void EmitProbeColumns(const ColumnBatch& batch, int row, int out_row);
   Status ProbeBatch(ColumnBatch* batch);
   void DrainSparseSource();
   Result<ColumnBatch*> ProbeNextBatch();
   Result<ColumnBatch*> EmitMatches();
-  /// Boxed row of probe row + build entry columns, for residual eval.
-  Result<bool> ResidualMatches(const ColumnBatch& batch, int probe_row,
-                               const uint8_t* entry);
+  Result<ColumnBatch*> EmitSemiAnti();
+  /// Sets matched_[i] for every active probe row i that has a candidate
+  /// passing the residual (semi/anti).
+  Status MatchResidualByRound(const ColumnBatch& batch);
+  /// Fills rows [0, n) of `dst` (probe columns, then build columns) from
+  /// the first n match-vector pairs.
+  void GatherPairs(const ColumnBatch& probe, int n, ColumnBatch* dst);
+  /// Left outer with a residual: keeps the candidates among out_'s n pairs
+  /// that pass (`bools`) and NULL-pads each finished probe row that had
+  /// none. `carried`: the chain continued from the previous output batch
+  /// already had a passing candidate.
+  void ReduceOuterPasses(const ColumnVector& bools, int n, bool carried);
 
   OperatorPtr build_;  // null when probing a shared build
   OperatorPtr probe_;
@@ -201,9 +217,19 @@ class HashJoinOperator : public Operator {
   int probe_idx_ = 0;              // index into probe batch's active set
   const uint8_t* chain_entry_ = nullptr;
   bool chain_open_ = false;     // chain for current probe row initialized
-  bool chain_matched_ = false;  // left outer: some candidate pair emitted
+  bool chain_matched_ = false;  // left outer: a cut chain's earlier part
+                                // had a passing candidate
+
+  // Match vectors of the batch being emitted: probe row and build entry
+  // (nullptr = NULL-pad) per output slot.
+  std::vector<int32_t> pair_rows_;
+  std::vector<const uint8_t*> pair_entries_;
+  std::vector<uint8_t> matched_;    // semi/anti: per active probe row
+  std::vector<int> undecided_;      // semi/anti: active rows still open
+  std::vector<int> round_ends_;     // semi/anti: slot end per round row
 
   std::unique_ptr<ColumnBatch> out_;
+  std::unique_ptr<ColumnBatch> candidates_;  // semi/anti residual scratch
   EvalContext ctx_;
 };
 

@@ -1,5 +1,6 @@
 #include "storage/format.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -426,10 +427,16 @@ FileWriter::FileWriter(Schema schema, FormatWriteOptions options)
 
 Status FileWriter::WriteBatch(const ColumnBatch& batch) {
   PHOTON_CHECK(!finished_);
-  for (int i = 0; i < batch.num_active(); i++) {
-    CopyRow(batch, batch.ActiveRow(i), pending_.get(),
-            static_cast<int>(pending_rows_));
-    pending_rows_++;
+  const int n = batch.num_active();
+  std::vector<int32_t> identity;
+  const int32_t* rows = ActiveRowIndices(batch, &identity);
+  for (int done = 0; done < n;) {
+    const int take = static_cast<int>(std::min<int64_t>(
+        n - done, options_.row_group_rows - pending_rows_));
+    GatherRows(batch, rows + done, take, pending_.get(),
+               static_cast<int>(pending_rows_), StringGather::kCopy);
+    done += take;
+    pending_rows_ += take;
     if (pending_rows_ == options_.row_group_rows) {
       pending_->set_num_rows(static_cast<int>(pending_rows_));
       pending_->SetAllActive();

@@ -338,9 +338,9 @@ plan::PlanPtr PlanGen::RandomPlan() {
       rk = eb::Col(0, right->output_schema.field(0).type);
     }
     ExprPtr residual;
-    if (rng_.NextBool(0.25) && jt != JoinType::kLeftSemi &&
-        jt != JoinType::kLeftAnti) {
-      // Residual over [left cols, right cols].
+    if (rng_.NextBool(0.25)) {
+      // Residual over [left cols, right cols], for every join type: semi
+      // and anti joins test it per candidate pair like the other two.
       Schema combined = left->output_schema;
       for (const Field& f : right->output_schema.fields()) {
         combined.AddField(f);

@@ -1,5 +1,6 @@
 #include "vector/column_batch.h"
 
+#include <cstring>
 #include <sstream>
 
 namespace photon {
@@ -22,110 +23,98 @@ std::string ColumnBatch::ToString() const {
 
 namespace {
 
-template <typename T>
-void GatherFixed(const ColumnVector& src, const int32_t* pos, int n,
-                 ColumnVector* dst) {
-  const T* PHOTON_RESTRICT in = src.data<T>();
-  T* PHOTON_RESTRICT out = dst->data<T>();
-  for (int i = 0; i < n; i++) out[i] = in[pos[i]];
+/// Gathers W-byte values by row index. Byte copies, so one kernel serves
+/// every fixed-width type of that width.
+template <int W>
+void GatherFixed(const uint8_t* PHOTON_RESTRICT in, const int32_t* rows, int n,
+                 uint8_t* PHOTON_RESTRICT out) {
+  for (int i = 0; i < n; i++) {
+    std::memcpy(out + static_cast<size_t>(i) * W,
+                in + static_cast<size_t>(rows[i]) * W, W);
+  }
+}
+
+/// Batch metadata of `dst` after a gather appended rows at `dst_begin`:
+/// `before` describes rows [0, dst_begin), the rest describes the new rows.
+TriState MergeHasNulls(TriState before, bool any_null, int dst_begin) {
+  if (any_null) return TriState::kYes;
+  return dst_begin == 0 ? TriState::kNo : before;
+}
+
+TriState MergeAllAscii(TriState before, TriState src, int dst_begin) {
+  if (dst_begin == 0) return src;
+  if (before == TriState::kNo || src == TriState::kNo) return TriState::kNo;
+  return before == TriState::kYes && src == TriState::kYes
+             ? TriState::kYes
+             : TriState::kUnknown;
 }
 
 }  // namespace
 
+void GatherRows(const ColumnBatch& src, const int32_t* rows, int n,
+                ColumnBatch* dst, int dst_begin, StringGather strings) {
+  PHOTON_DCHECK(dst_begin + n <= dst->capacity());
+  for (int c = 0; c < src.num_columns(); c++) {
+    const ColumnVector& in = *src.column(c);
+    ColumnVector* out = dst->column(c);
+    const uint8_t* PHOTON_RESTRICT in_nulls = in.nulls();
+    uint8_t* PHOTON_RESTRICT out_nulls = out->nulls() + dst_begin;
+    uint8_t any_null = 0;
+    for (int i = 0; i < n; i++) {
+      out_nulls[i] = in_nulls[rows[i]];
+      any_null |= out_nulls[i];
+    }
+
+    const int width = in.type().byte_width();
+    uint8_t* out_bytes =
+        out->data<uint8_t>() + static_cast<size_t>(dst_begin) * width;
+    if (in.type().is_var_len() && strings == StringGather::kCopy) {
+      const StringRef* in_strs = in.data<StringRef>();
+      StringRef* out_strs = reinterpret_cast<StringRef*>(out_bytes);
+      VarLenPool* pool = out->var_pool();
+      for (int i = 0; i < n; i++) {
+        out_strs[i] =
+            out_nulls[i] ? StringRef() : pool->AddString(in_strs[rows[i]]);
+      }
+    } else {
+      switch (width) {
+        case 1:
+          GatherFixed<1>(in.data<uint8_t>(), rows, n, out_bytes);
+          break;
+        case 4:
+          GatherFixed<4>(in.data<uint8_t>(), rows, n, out_bytes);
+          break;
+        case 8:
+          GatherFixed<8>(in.data<uint8_t>(), rows, n, out_bytes);
+          break;
+        default:
+          GatherFixed<16>(in.data<uint8_t>(), rows, n, out_bytes);
+          break;
+      }
+    }
+    out->set_has_nulls(MergeHasNulls(out->has_nulls(), any_null, dst_begin));
+    out->set_all_ascii(MergeAllAscii(out->all_ascii(), in.all_ascii(),
+                                     dst_begin));
+  }
+}
+
+const int32_t* ActiveRowIndices(const ColumnBatch& batch,
+                                std::vector<int32_t>* identity) {
+  if (!batch.all_active()) return batch.pos_list();
+  identity->resize(batch.num_active());
+  for (int i = 0; i < batch.num_active(); i++) (*identity)[i] = i;
+  return identity->data();
+}
+
 std::unique_ptr<ColumnBatch> CompactBatch(const ColumnBatch& src) {
   auto dst = std::make_unique<ColumnBatch>(src.schema(), src.capacity());
   int n = src.num_active();
-  const int32_t* pos = src.pos_list();
-  // Materialize the active positions even if the source is all-active, so
-  // the gather kernels have a single shape.
   std::vector<int32_t> identity;
-  if (src.all_active()) {
-    identity.resize(n);
-    for (int i = 0; i < n; i++) identity[i] = i;
-    pos = identity.data();
-  }
-
-  for (int c = 0; c < src.num_columns(); c++) {
-    const ColumnVector& in = *src.column(c);
-    ColumnVector* out = dst->column(c);
-    const uint8_t* in_nulls = in.nulls();
-    uint8_t* out_nulls = out->nulls();
-    for (int i = 0; i < n; i++) out_nulls[i] = in_nulls[pos[i]];
-
-    switch (in.type().id()) {
-      case TypeId::kBoolean:
-        GatherFixed<uint8_t>(in, pos, n, out);
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate32:
-        GatherFixed<int32_t>(in, pos, n, out);
-        break;
-      case TypeId::kInt64:
-      case TypeId::kTimestamp:
-        GatherFixed<int64_t>(in, pos, n, out);
-        break;
-      case TypeId::kFloat64:
-        GatherFixed<double>(in, pos, n, out);
-        break;
-      case TypeId::kDecimal128:
-        GatherFixed<int128_t>(in, pos, n, out);
-        break;
-      case TypeId::kString: {
-        const StringRef* in_strs = in.data<StringRef>();
-        for (int i = 0; i < n; i++) {
-          if (!out_nulls[i]) {
-            out->SetString(i, in_strs[pos[i]].data, in_strs[pos[i]].len);
-          } else {
-            out->SetStringRef(i, StringRef());
-          }
-        }
-        break;
-      }
-    }
-    // Compaction preserves NULL-ness and ASCII-ness of the active set.
-    out->set_has_nulls(in.has_nulls());
-    out->set_all_ascii(in.all_ascii());
-  }
+  GatherRows(src, ActiveRowIndices(src, &identity), n, dst.get(), 0,
+             StringGather::kCopy);
   dst->set_num_rows(n);
   dst->SetAllActive();
   return dst;
-}
-
-void CopyRow(const ColumnBatch& src, int src_row, ColumnBatch* dst,
-             int dst_row) {
-  for (int c = 0; c < src.num_columns(); c++) {
-    const ColumnVector& in = *src.column(c);
-    ColumnVector* out = dst->column(c);
-    if (in.IsNull(src_row)) {
-      out->SetNull(dst_row);
-      continue;
-    }
-    out->SetNotNull(dst_row);
-    switch (in.type().id()) {
-      case TypeId::kBoolean:
-        out->data<uint8_t>()[dst_row] = in.data<uint8_t>()[src_row];
-        break;
-      case TypeId::kInt32:
-      case TypeId::kDate32:
-        out->data<int32_t>()[dst_row] = in.data<int32_t>()[src_row];
-        break;
-      case TypeId::kInt64:
-      case TypeId::kTimestamp:
-        out->data<int64_t>()[dst_row] = in.data<int64_t>()[src_row];
-        break;
-      case TypeId::kFloat64:
-        out->data<double>()[dst_row] = in.data<double>()[src_row];
-        break;
-      case TypeId::kDecimal128:
-        out->data<int128_t>()[dst_row] = in.data<int128_t>()[src_row];
-        break;
-      case TypeId::kString: {
-        StringRef s = in.GetString(src_row);
-        out->SetString(dst_row, s.data, s.len);
-        break;
-      }
-    }
-  }
 }
 
 }  // namespace photon

@@ -132,16 +132,37 @@ class ColumnBatch {
   bool all_active_ = true;
 };
 
+/// How GatherRows moves string values: kCopy deep-copies the bytes into
+/// the destination column's pool, kRef copies only the StringRef (the
+/// caller guarantees the source bytes outlive every use of `dst`).
+enum class StringGather { kCopy, kRef };
+
+/// Column-at-a-time gather: copies rows `rows[0..n)` of every column of
+/// `src` into rows [dst_begin, dst_begin + n) of the first
+/// src.num_columns() columns of `dst` (same types), with one type dispatch
+/// per column. `rows` must be active rows of `src`: the batch metadata
+/// (has-NULLs, all-ASCII) of the gathered range is derived from them.
+void GatherRows(const ColumnBatch& src, const int32_t* rows, int n,
+                ColumnBatch* dst, int dst_begin, StringGather strings);
+
+/// The active rows of `batch` as row indices, for GatherRows: its position
+/// list, or `identity` filled with [0, num_active) when it is all-active.
+const int32_t* ActiveRowIndices(const ColumnBatch& batch,
+                                std::vector<int32_t>* identity);
+
 /// Copies the active rows of `src` densely into a fresh batch whose position
-/// list is the identity. This is the adaptive batch compaction of §4.6 used
-/// before hash table probes on sparse batches; string bytes are copied so
-/// the result owns its data.
+/// list is the identity. This is the adaptive batch compaction of §4.6;
+/// string bytes are copied so the result owns its data (stage sinks and
+/// sort keep batches this way).
 std::unique_ptr<ColumnBatch> CompactBatch(const ColumnBatch& src);
 
-/// Copies row `src_row` of every column in `src` to `dst_row` in `dst`
-/// (schemas must match). Strings are deep-copied into dst's pools.
-void CopyRow(const ColumnBatch& src, int src_row, ColumnBatch* dst,
-             int dst_row);
+/// Copies active row `src_row` of `src` to `dst_row` in `dst` (schemas
+/// must match), deep-copying strings: a one-row GatherRows for callers
+/// that interleave sources row by row (sort merges, shuffle partitioning).
+inline void CopyRow(const ColumnBatch& src, int32_t src_row, ColumnBatch* dst,
+                    int dst_row) {
+  GatherRows(src, &src_row, 1, dst, dst_row, StringGather::kCopy);
+}
 
 }  // namespace photon
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "exec/driver.h"
 #include "expr/builder.h"
 #include "plan/logical_plan.h"
@@ -132,6 +134,78 @@ TEST(FuzzRegressionTest, LeftOuterResidualFiltersWithinChains) {
   EXPECT_EQ(photon->num_rows(), 6);
 
   ExpectAllModesAgree(j);
+}
+
+// The Q21 shape over the per-candidate-batch residual path: lineitem rows
+// with an EXISTS (another supplier on the same order) and a NOT EXISTS
+// (another supplier on the same order that was late), both `suppkey <>`
+// residuals, over ~6-row duplicate chains with some NULL order keys. The
+// row counts are checked against a brute-force nested loop, then every
+// differ mode runs against the baseline oracle.
+TEST(FuzzRegressionTest, Q21ExistsNotExistsResidualsOverDuplicateChains) {
+  struct Line {
+    std::optional<int64_t> order;
+    int64_t supp;
+    bool late;
+  };
+  std::vector<Line> lines;
+  for (int64_t i = 0; i < 600; i++) {
+    std::optional<int64_t> order;
+    if (i % 17 != 0) order = i / 6;
+    lines.push_back({order, (i * 7) % 5, i % 3 == 0});
+  }
+  Schema schema({Field("o", DataType::Int64()), Field("s", DataType::Int64()),
+                 Field("late", DataType::Boolean())});
+  TableBuilder b(schema);
+  for (const Line& l : lines) {
+    b.AppendRow({l.order ? Value::Int64(*l.order) : Value::Null(),
+                 Value::Int64(l.supp), Value::Boolean(l.late)});
+  }
+  Table t = b.Finish();
+
+  PlanPtr l1 = plan::Scan(&t);
+  PlanPtr l2 = plan::Scan(&t);
+  PlanPtr l3 = plan::Filter(plan::Scan(&t),
+                            eb::Col(2, DataType::Boolean(), "late"));
+  // Combined residual rows are [l1.o, l1.s, l1.late, lN.o, lN.s, lN.late].
+  auto other_supplier = [] {
+    return eb::Ne(eb::Col(4, DataType::Int64(), "s2"),
+                  eb::Col(1, DataType::Int64(), "s"));
+  };
+  PlanPtr exists = plan::Join(l1, l2, JoinType::kLeftSemi,
+                              {plan::ColOf(l1, "o")}, {plan::ColOf(l2, "o")},
+                              other_supplier());
+  PlanPtr both = plan::Join(exists, l3, JoinType::kLeftAnti,
+                            {plan::ColOf(exists, "o")}, {plan::ColOf(l3, "o")},
+                            other_supplier());
+
+  auto has_other = [&](const Line& a, bool late_only) {
+    for (const Line& c : lines) {
+      if (a.order && c.order && *a.order == *c.order && c.supp != a.supp &&
+          (!late_only || c.late)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  int64_t expect_exists = 0, expect_both = 0;
+  for (const Line& a : lines) {
+    if (!has_other(a, false)) continue;
+    expect_exists++;
+    if (!has_other(a, true)) expect_both++;
+  }
+  ASSERT_GT(expect_both, 0);
+  ASSERT_LT(expect_both, expect_exists);
+
+  Result<Table> r1 = SharedDriver()->RunSingleTask(exists);
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  EXPECT_EQ(r1->num_rows(), expect_exists);
+  Result<Table> r2 = SharedDriver()->RunSingleTask(both);
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_EQ(r2->num_rows(), expect_both);
+
+  ExpectAllModesAgree(exists);
+  ExpectAllModesAgree(both);
 }
 
 // Fuzz seeds 3/27: Photon's decimal sum wrapped its int128 accumulator

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/rng.h"
 #include "expr/builder.h"
@@ -13,6 +14,8 @@
 #include "ops/scan.h"
 #include "ops/shuffle.h"
 #include "ops/sort.h"
+#include "plan/logical_plan.h"
+#include "testing/differ.h"
 #include "vector/table.h"
 #include "vector/vector_serde.h"
 
@@ -413,6 +416,241 @@ TEST(HashJoinTest, CompactionTriggersOnSparseProbes) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->num_rows(), 3);
   EXPECT_GT(join_ptr->compacted_batches(), 0);
+}
+
+// --- Column-at-a-time join output, diffed against the baseline join -------
+//
+// These plans run through Photon with small batches — so chains outlast an
+// output batch and a residual's candidate batch — and through the baseline
+// row engine's shuffled hash join, and the results must agree.
+
+/// First difference between Photon (single task, `batch_size`-row batches)
+/// and the baseline shuffled hash join on `p`; "" when they agree.
+std::string DiffAgainstBaseline(const plan::PlanPtr& p, int batch_size,
+                                int64_t* photon_rows = nullptr) {
+  ExecContext ctx;
+  ctx.batch_size = batch_size;
+  Result<OperatorPtr> op = plan::CompilePhoton(p, ctx);
+  if (!op.ok()) return op.status().ToString();
+  Result<Table> photon = CollectAll(op->get());
+  if (!photon.ok()) return photon.status().ToString();
+  if (photon_rows != nullptr) *photon_rows = photon->num_rows();
+  Result<baseline::RowOperatorPtr> base =
+      plan::CompileBaseline(p, plan::BaselineJoinImpl::kShuffledHash);
+  if (!base.ok()) return base.status().ToString();
+  Result<Table> expected = baseline::CollectAllRows(base->get());
+  if (!expected.ok()) return expected.status().ToString();
+  return testing::DiffCanonical(testing::Canonicalize(*photon),
+                                testing::Canonicalize(*expected), "photon",
+                                "baseline");
+}
+
+/// Rows of (k, v); a null optional is a NULL cell.
+Table MakeNullableKv(
+    const std::vector<std::pair<std::optional<int64_t>,
+                                std::optional<int64_t>>>& rows,
+    int batch_size) {
+  Schema schema(
+      {Field("k", DataType::Int64()), Field("v", DataType::Int64())});
+  TableBuilder builder(schema, batch_size);
+  auto cell = [](const std::optional<int64_t>& x) {
+    return x.has_value() ? Value::Int64(*x) : Value::Null();
+  };
+  for (const auto& [k, v] : rows) builder.AppendRow({cell(k), cell(v)});
+  return builder.Finish();
+}
+
+plan::PlanPtr KvJoin(const Table& probe, const Table& build, JoinType type,
+                     ExprPtr residual) {
+  plan::PlanPtr l = plan::Scan(&probe);
+  plan::PlanPtr r = plan::Scan(&build);
+  return plan::Join(l, r, type, {plan::ColOf(l, "k")}, {plan::ColOf(r, "k")},
+                    std::move(residual));
+}
+
+// Combined residual row: [probe k, probe v, build k, build v].
+ExprPtr ProbeV() { return Col(1, DataType::Int64(), "pv"); }
+ExprPtr BuildV() { return Col(3, DataType::Int64(), "bv"); }
+
+TEST(JoinKernelTest, SemiAntiResidualChainsSpanCandidateBatches) {
+  // Key 1 has a 10-candidate chain with build values 0..9. Probe rows
+  // look for v = 0 and v = 9 (the two ends of the chain) and v = 42
+  // (absent). Key 2 has one candidate, key 3 none. The residual bv = pv
+  // passes exactly one candidate or none.
+  std::vector<std::pair<std::optional<int64_t>, std::optional<int64_t>>>
+      build_rows, probe_rows;
+  for (int64_t v = 0; v < 10; v++) build_rows.push_back({1, v});
+  build_rows.push_back({2, 5});
+  for (int rep = 0; rep < 6; rep++) {
+    for (int64_t v : {0, 9, 42}) probe_rows.push_back({1, v});
+    probe_rows.push_back({2, 5});
+    probe_rows.push_back({2, 6});
+    probe_rows.push_back({3, 0});
+  }
+  Table build = MakeNullableKv(build_rows, 4);
+  // The candidate batch holds max(probe batch rows, batch size) pairs, so
+  // 2-row probe batches make the 10-candidate chain span several rounds
+  // even for a single undecided row.
+  for (int probe_batch : {2, 16}) {
+    Table probe = MakeNullableKv(probe_rows, probe_batch);
+    for (JoinType type : {JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+      for (int batch_size : {1, 4, 2048}) {
+        int64_t rows = 0;
+        std::string diff = DiffAgainstBaseline(
+            KvJoin(probe, build, type, eb::Eq(BuildV(), ProbeV())),
+            batch_size, &rows);
+        EXPECT_EQ(diff, "") << "batch " << batch_size;
+        // Per repetition: v=0, v=9 and (2,5) pass; v=42, (2,6), (3,0) fail.
+        EXPECT_EQ(rows, 6 * 3) << "batch " << batch_size;
+      }
+    }
+  }
+}
+
+TEST(JoinKernelTest, ResidualEvaluatingToNullFailsUnderEveryJoinType) {
+  // NULL values on both sides make bv > pv NULL for some candidates; a
+  // NULL residual is not a match.
+  Table build = MakeNullableKv(
+      {{1, std::nullopt}, {1, 5}, {2, std::nullopt}, {3, 7}, {std::nullopt, 9}},
+      2);
+  Table probe = MakeNullableKv({{1, 1},
+                                {1, std::nullopt},
+                                {2, 0},
+                                {3, std::nullopt},
+                                {3, 1},
+                                {std::nullopt, 0},
+                                {4, 0}},
+                               3);
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                        JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    for (int batch_size : {1, 3, 2048}) {
+      EXPECT_EQ(DiffAgainstBaseline(
+                    KvJoin(probe, build, type, eb::Gt(BuildV(), ProbeV())),
+                    batch_size),
+                "")
+          << "join type " << static_cast<int>(type) << ", batch "
+          << batch_size;
+    }
+  }
+}
+
+TEST(JoinKernelTest, LeftOuterResidualAcrossOutputBatches) {
+  // Key 1's 12-candidate chain is longer than the 4-row output batch, so
+  // chains are cut mid-way. Probe v picks which candidates pass bv < pv:
+  // v = 0 none (NULL-pad after the last part), v = 3 only the three
+  // smallest build values, v = 100 all of them. NULL probe keys and a NULL
+  // build key never match.
+  std::vector<std::pair<std::optional<int64_t>, std::optional<int64_t>>>
+      build_rows;
+  for (int64_t v = 0; v < 12; v++) build_rows.push_back({1, v});
+  build_rows.push_back({std::nullopt, 0});
+  build_rows.push_back({2, 50});
+  Table build = MakeNullableKv(build_rows, 4);
+  Table probe = MakeNullableKv({{1, 0},
+                                {1, 3},
+                                {1, 5},
+                                {std::nullopt, 100},
+                                {1, 100},
+                                {2, 10},
+                                {5, 1},
+                                {1, 0}},
+                               3);
+  for (int batch_size : {1, 2, 4, 5, 2048}) {
+    int64_t rows = 0;
+    EXPECT_EQ(DiffAgainstBaseline(KvJoin(probe, build, JoinType::kLeftOuter,
+                                         eb::Lt(BuildV(), ProbeV())),
+                                  batch_size, &rows),
+              "")
+        << "batch " << batch_size;
+    // (1,0): pad; (1,3): 3; (1,5): 5; NULL key: pad; (1,100): 12;
+    // (2,10): pad; (5,1): pad; (1,0): pad.
+    EXPECT_EQ(rows, 5 + 3 + 5 + 12) << "batch " << batch_size;
+  }
+  // With bv = pv the only passing candidate sits mid-chain (whichever way
+  // the chain runs), so later parts of a cut chain must not NULL-pad a row
+  // that already matched: every probe row yields exactly one output row.
+  for (int batch_size : {1, 2, 4, 5}) {
+    int64_t rows = 0;
+    EXPECT_EQ(DiffAgainstBaseline(KvJoin(probe, build, JoinType::kLeftOuter,
+                                         eb::Eq(BuildV(), ProbeV())),
+                                  batch_size, &rows),
+              "")
+        << "batch " << batch_size;
+    EXPECT_EQ(rows, probe.num_rows()) << "batch " << batch_size;
+  }
+  // All candidates failing for every row degenerates to NULL-padding.
+  EXPECT_EQ(DiffAgainstBaseline(KvJoin(probe, build, JoinType::kLeftOuter,
+                                       eb::Gt(Lit(int64_t{0}), ProbeV())),
+                                4),
+            "");
+}
+
+TEST(JoinKernelTest, ComputedProbeStringsSurviveCompactionAndRefs) {
+  // The probe's string column is computed (upper(s)) by a Project over a
+  // filtered scan. Under the sparse filter the join compacts the batches,
+  // so output strings point into the compaction buffer; under the dense
+  // one they point into the Project's expression scratch.
+  Schema ps({Field("k", DataType::Int64()), Field("s", DataType::String())});
+  Schema bs({Field("k", DataType::Int64()), Field("t", DataType::String())});
+  TableBuilder pb(ps, 1024);
+  for (int64_t i = 0; i < 6000; i++) {
+    pb.AppendRow({Value::Int64(i % 97),
+                  i % 11 == 0 ? Value::Null()
+                              : Value::String("row-" + std::to_string(i) +
+                                              "-long-enough-to-not-inline")});
+  }
+  Table probe = pb.Finish();
+  TableBuilder bb(bs, 64);
+  for (int64_t k = 0; k < 97; k += 2) {
+    for (int dup = 0; dup < 3; dup++) {
+      bb.AppendRow({Value::Int64(k),
+                    Value::String("b" + std::to_string(k * 10 + dup))});
+    }
+  }
+  Table build = bb.Finish();
+  for (int64_t modulus : {16, 2}) {  // sparse (compacted), then dense
+    plan::PlanPtr scan = plan::Scan(&probe);
+    ExprPtr k = plan::ColOf(scan, "k");
+    plan::PlanPtr filtered = plan::Filter(
+        scan, eb::Eq(eb::Mod(k, Lit(modulus)), Lit(int64_t{0})));
+    plan::PlanPtr projected = plan::Project(
+        filtered,
+        {plan::ColOf(filtered, "k"),
+         eb::Call("upper", {plan::ColOf(filtered, "s")})},
+        {"k", "us"});
+    plan::PlanPtr b = plan::Scan(&build);
+    for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+      ExprPtr residual = eb::Ne(
+          eb::Col(1, DataType::String(), "us"),
+          eb::Col(3, DataType::String(), "t"));
+      plan::PlanPtr j =
+          plan::Join(projected, b, type, {plan::ColOf(projected, "k")},
+                     {plan::ColOf(b, "k")}, residual);
+      EXPECT_EQ(DiffAgainstBaseline(j, kDefaultBatchSize), "")
+          << "modulus " << modulus;
+      EXPECT_EQ(DiffAgainstBaseline(j, 7), "") << "modulus " << modulus;
+    }
+  }
+  // The sparse filter does trigger compaction.
+  plan::PlanPtr scan = plan::Scan(&probe);
+  plan::PlanPtr filtered = plan::Filter(
+      scan,
+      eb::Eq(eb::Mod(plan::ColOf(scan, "k"), Lit(int64_t{16})),
+             Lit(int64_t{0})));
+  plan::PlanPtr projected = plan::Project(
+      filtered,
+      {plan::ColOf(filtered, "k"),
+       eb::Call("upper", {plan::ColOf(filtered, "s")})},
+      {"k", "us"});
+  plan::PlanPtr b = plan::Scan(&build);
+  Result<OperatorPtr> op = plan::CompilePhoton(
+      plan::Join(projected, b, JoinType::kInner, {plan::ColOf(projected, "k")},
+                 {plan::ColOf(b, "k")}));
+  ASSERT_TRUE(op.ok());
+  auto* join = dynamic_cast<HashJoinOperator*>(op->get());
+  ASSERT_NE(join, nullptr);
+  ASSERT_TRUE(CollectAll(join).ok());
+  EXPECT_GT(join->compacted_batches(), 0);
 }
 
 // --- Sort ------------------------------------------------------------------
