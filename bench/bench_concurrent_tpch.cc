@@ -6,7 +6,7 @@
 // end-to-end latency percentiles (p50/p99, submit → terminal state, so
 // admission queue time counts).
 //
-// Every result is verified against a serial single-task reference by row
+// Every result is verified against a serial 1-worker reference by row
 // count and order-insensitive checksum; any mismatch or failed query makes
 // the bench exit nonzero — this doubles as the service's highest-pressure
 // correctness run (see EXPERIMENTS.md).
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
       sf, threads, max_concurrent, per_client);
   tpch::TpchData data = tpch::GenerateTpch(sf);
 
-  // The query mix and its serial references (single task, unlimited
+  // The query mix and its serial references (one worker, unlimited
   // memory): the ground truth every concurrent result must reproduce.
   std::vector<plan::PlanPtr> plans;
   std::vector<int64_t> ref_rows;
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
     for (int q = 1; q <= 22; q++) {
       Result<plan::PlanPtr> p = tpch::TpchQuery(q, data, sf);
       PHOTON_CHECK(p.ok());
-      Result<Table> t = reference.RunSingleTask(*p);
+      Result<Table> t = reference.Run(*p);
       PHOTON_CHECK(t.ok());
       plans.push_back(*p);
       ref_rows.push_back(t->num_rows());

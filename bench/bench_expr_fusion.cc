@@ -199,13 +199,13 @@ int main(int argc, char** argv) {
       ExecContext ctx;
       ctx.expr_policy = kTiers[t].policy;
       // Warm-up run also produces the checksum outside the timed region.
-      Result<Table> out = driver.RunSingleTask(chain.plan, ctx);
+      Result<Table> out = driver.Run(chain.plan, ctx);
       PHOTON_CHECK(out.ok());
       tier_rows[t] = out->num_rows();
       tier_sum[t] = bench::TableChecksum(*out);
       tier_ns[t] = bench::BestOf(reps, [&] {
         int64_t t0 = bench::NowNs();
-        Result<Table> r = driver.RunSingleTask(chain.plan, ctx);
+        Result<Table> r = driver.Run(chain.plan, ctx);
         PHOTON_CHECK(r.ok());
         return bench::NowNs() - t0;
       });

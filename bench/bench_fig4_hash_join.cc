@@ -51,8 +51,9 @@ int main() {
   plan::PlanPtr p = CountJoin(t1, t2);
 
   int64_t rows = 0;
+  exec::Driver driver(1);
   int64_t photon_ns = bench::BestOf(
-      3, [&] { return bench::TimePhoton(p, &rows); });
+      3, [&] { return bench::TimeDriver(&driver, p, &rows); });
   std::printf("  Photon hash join:          %9.1f ms (result rows: %lld)\n",
               bench::Ms(photon_ns), static_cast<long long>(rows));
 

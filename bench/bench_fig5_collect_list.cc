@@ -40,6 +40,7 @@ int main() {
   std::printf("  %10s %14s %14s %9s\n", "groups", "Photon (ms)", "DBR (ms)",
               "speedup");
 
+  exec::Driver driver(1);
   for (int64_t groups : {10, 100, 1000, 10000, 100000}) {
     Table t = MakeStrTable(kRows, groups, 42);
     plan::PlanPtr scan = plan::Scan(&t);
@@ -48,7 +49,7 @@ int main() {
         {AggregateSpec{AggKind::kCollectList, plan::ColOf(scan, "s"),
                        "lst"}});
     int64_t photon_ns =
-        bench::BestOf(3, [&] { return bench::TimePhoton(p); });
+        bench::BestOf(3, [&] { return bench::TimeDriver(&driver, p); });
     int64_t dbr_ns =
         bench::BestOf(1, [&] { return bench::TimeBaseline(p); });
     std::printf("  %10lld %14.1f %14.1f %8.2fx\n",

@@ -53,10 +53,11 @@ int main() {
 
   int64_t dbr_ns =
       bench::BestOf(1, [&] { return bench::TimeBaseline(adaptive); });
-  int64_t generic_ns =
-      bench::BestOf(3, [&] { return bench::TimePhoton(generic); });
-  int64_t adaptive_ns =
-      bench::BestOf(3, [&] { return bench::TimePhoton(adaptive); });
+  exec::Driver driver(1);
+  int64_t generic_ns = bench::BestOf(
+      3, [&] { return bench::TimeDriver(&driver, generic); });
+  int64_t adaptive_ns = bench::BestOf(
+      3, [&] { return bench::TimeDriver(&driver, adaptive); });
 
   std::printf("  DBR (row-at-a-time):            %9.1f ms\n",
               bench::Ms(dbr_ns));

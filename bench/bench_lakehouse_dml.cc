@@ -119,7 +119,7 @@ RunStats RunWorkload(int64_t initial_rows, int writers, int ops,
         int64_t t0 = bench::NowNs();
         auto snap = (*opened)->Snapshot();
         PHOTON_CHECK(snap.ok());
-        auto result = driver.RunSingleTask(
+        auto result = driver.Run(
             plan::DeltaScan(&store, *std::move(snap)));
         PHOTON_CHECK(result.ok());
         reader_lat[r].push_back(bench::NowNs() - t0);
@@ -195,7 +195,7 @@ RunStats RunWorkload(int64_t initial_rows, int writers, int ops,
   out.final_version = snap->version;
   exec::Driver driver(1, 1);
   int64_t s0 = bench::NowNs();
-  auto full = driver.RunSingleTask(plan::DeltaScan(&store, *snap));
+  auto full = driver.Run(plan::DeltaScan(&store, *snap));
   out.post_scan_ns = bench::NowNs() - s0;
   PHOTON_CHECK(full.ok());
   out.final_rows = full->num_rows();

@@ -77,9 +77,7 @@ int main(int argc, char** argv) {
     auto time = [&](const plan::PlanPtr& p, const ExecContext& ctx,
                     int64_t* rows, uint64_t* checksum) {
       return bench::BestOf(reps, [&] {
-        return threads > 1
-                   ? bench::TimeDriver(&driver, p, rows, checksum, ctx)
-                   : bench::TimeSingleTask(&driver, p, rows, checksum, ctx);
+        return bench::TimeDriver(&driver, p, rows, checksum, ctx);
       });
     };
 

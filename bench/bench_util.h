@@ -25,18 +25,6 @@ inline int64_t NowNs() {
       .count();
 }
 
-/// Wall-clock for one Photon execution of a plan; result rows out-param.
-inline int64_t TimePhoton(const plan::PlanPtr& p, int64_t* rows = nullptr) {
-  Result<OperatorPtr> op = plan::CompilePhoton(p);
-  PHOTON_CHECK(op.ok());
-  int64_t t0 = NowNs();
-  Result<Table> result = CollectAll(op->get());
-  int64_t elapsed = NowNs() - t0;
-  PHOTON_CHECK(result.ok());
-  if (rows != nullptr) *rows = result->num_rows();
-  return elapsed;
-}
-
 /// Wall-clock for one baseline execution of the same plan.
 inline int64_t TimeBaseline(
     const plan::PlanPtr& p, int64_t* rows = nullptr,
@@ -53,29 +41,16 @@ inline int64_t TimeBaseline(
 
 inline uint64_t TableChecksum(const Table& t);  // defined below
 
-/// Wall-clock for one morsel-parallel Driver::Run of a plan; the result's
-/// row count and order-insensitive checksum are out-params for verifying
-/// parallel runs against the single-task reference.
+/// Wall-clock for one Photon execution of a plan (Driver::Run; a 1-worker
+/// driver is the single-threaded reference); the result's row count and
+/// order-insensitive checksum are out-params for verifying parallel runs
+/// against that reference.
 inline int64_t TimeDriver(exec::Driver* driver, const plan::PlanPtr& p,
                           int64_t* rows = nullptr,
                           uint64_t* checksum = nullptr,
                           const ExecContext& ctx = ExecContext()) {
   int64_t t0 = NowNs();
   Result<Table> result = driver->Run(p, ctx);
-  int64_t elapsed = NowNs() - t0;
-  PHOTON_CHECK(result.ok());
-  if (rows != nullptr) *rows = result->num_rows();
-  if (checksum != nullptr) *checksum = TableChecksum(*result);
-  return elapsed;
-}
-
-/// Wall-clock for one single-task Driver run (the per-thread reference).
-inline int64_t TimeSingleTask(exec::Driver* driver, const plan::PlanPtr& p,
-                              int64_t* rows = nullptr,
-                              uint64_t* checksum = nullptr,
-                              const ExecContext& ctx = ExecContext()) {
-  int64_t t0 = NowNs();
-  Result<Table> result = driver->RunSingleTask(p, ctx);
   int64_t elapsed = NowNs() - t0;
   PHOTON_CHECK(result.ok());
   if (rows != nullptr) *rows = result->num_rows();
@@ -98,7 +73,7 @@ inline double Ms(int64_t ns) { return static_cast<double>(ns) / 1e6; }
 /// Order-insensitive content checksum of a table: per-row FNV-1a over the
 /// printed cell values, summed (commutative) across rows. Lets a bench
 /// assert that a parallel run produced the same multiset of rows as the
-/// single-task reference without sorting either side. Doubles print at %g
+/// 1-worker reference without sorting either side. Doubles print at %g
 /// precision, so ulp-level differences from reassociated merges don't trip
 /// the comparison.
 inline uint64_t TableChecksum(const Table& t) {

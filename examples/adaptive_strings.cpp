@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "exec/driver.h"
 #include "expr/builder.h"
 #include "ops/scan.h"
 #include "ops/shuffle.h"
@@ -33,15 +34,14 @@ int main() {
   Table ascii_table = ascii_rows.Finish();
   Table mixed_table = mixed_rows.Finish();
 
-  auto time_upper = [](const Table& t) {
+  exec::Driver driver(1);
+  auto time_upper = [&](const Table& t) {
     plan::PlanPtr p = plan::Scan(&t);
     p = plan::Project(p, {eb::Call("upper", {plan::ColOf(p, "s")})}, {"u"});
     p = plan::Aggregate(p, {}, {},
                         {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
-    Result<OperatorPtr> op = plan::CompilePhoton(p);
-    PHOTON_CHECK(op.ok());
     auto t0 = std::chrono::steady_clock::now();
-    Result<Table> r = CollectAll(op->get());
+    Result<Table> r = driver.Run(p);
     PHOTON_CHECK(r.ok());
     return std::chrono::duration_cast<std::chrono::microseconds>(
                std::chrono::steady_clock::now() - t0)

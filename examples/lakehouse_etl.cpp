@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "exec/driver.h"
 #include "expr/builder.h"
 #include "ops/file_scan.h"
 #include "plan/logical_plan.h"
@@ -74,9 +75,8 @@ int main() {
        AggregateSpec{AggKind::kSum, plan::ColOf(scan, "amount"), "total"}});
   agg = plan::Sort(agg, {SortKey{plan::ColOf(agg, "action"), true, true}});
 
-  Result<OperatorPtr> op = plan::CompilePhoton(agg);
-  PHOTON_CHECK(op.ok());
-  Result<Table> result = CollectAll(op->get());
+  exec::Driver driver(1);
+  Result<Table> result = driver.Run(agg);
   PHOTON_CHECK(result.ok());
   std::printf("\nquery: events for days 12..14, grouped by action\n");
   std::printf("  (files pruned by min/max stats: %zu of %zu survive)\n",
@@ -97,9 +97,7 @@ int main() {
 
   // 5. Compaction: rewrite all current files into one.
   plan::PlanPtr full = plan::DeltaScan(&store, *snap);
-  Result<OperatorPtr> full_scan = plan::CompilePhoton(full);
-  PHOTON_CHECK(full_scan.ok());
-  Result<Table> everything = CollectAll(full_scan->get());
+  Result<Table> everything = driver.Run(full);
   PHOTON_CHECK(everything.ok());
   std::vector<std::string> old_keys;
   for (const DeltaFileEntry& f : snap->files) old_keys.push_back(f.key);

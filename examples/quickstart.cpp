@@ -13,6 +13,7 @@
 
 #include "common/rng.h"
 #include "common/time_util.h"
+#include "exec/driver.h"
 #include "expr/builder.h"
 #include "plan/logical_plan.h"
 
@@ -72,9 +73,8 @@ int main() {
   std::printf("plan:\n%s\n", agg->ToString(1).c_str());
 
   // ---- Execute in Photon and print ---------------------------------------
-  Result<OperatorPtr> op = plan::CompilePhoton(agg);
-  PHOTON_CHECK(op.ok());
-  Result<Table> result = CollectAll(op->get());
+  exec::Driver driver(1);
+  Result<Table> result = driver.Run(agg);
   PHOTON_CHECK(result.ok());
 
   std::printf("%-8s %14s\n", "name", "sum(o_price)");

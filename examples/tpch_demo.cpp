@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "exec/driver.h"
 #include "plan/logical_plan.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_queries.h"
@@ -27,10 +28,9 @@ int main(int argc, char** argv) {
   PHOTON_CHECK(p.ok());
   std::printf("\nQ%d plan:\n%s\n", q, (*p)->ToString(1).c_str());
 
+  exec::Driver driver(1);
   auto t0 = std::chrono::steady_clock::now();
-  Result<OperatorPtr> photon_op = plan::CompilePhoton(*p);
-  PHOTON_CHECK(photon_op.ok());
-  Result<Table> photon_result = CollectAll(photon_op->get());
+  Result<Table> photon_result = driver.Run(*p);
   PHOTON_CHECK(photon_result.ok());
   auto photon_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                        std::chrono::steady_clock::now() - t0)

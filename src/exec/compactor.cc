@@ -48,9 +48,8 @@ Status Compactor::RunOncePass() {
     view.files = group;
     PHOTON_ASSIGN_OR_RETURN(
         Table coalesced,
-        driver_.RunSingleTask(plan::DeltaScan(table_->store(),
-                                              std::move(view), {}, nullptr,
-                                              options_.io)));
+        driver_.Run(plan::DeltaScan(table_->store(), std::move(view), {},
+                                    nullptr, options_.io)));
     std::vector<std::string> keys;
     keys.reserve(group.size());
     for (const DeltaFileEntry& file : group) keys.push_back(file.key);

@@ -87,8 +87,9 @@ class Compactor {
   Options options_;
   TaskScheduler* scheduler_;
   int64_t query_slot_ = -1;
-  /// RunSingleTask executes inline on the calling thread, so this driver's
-  /// pools stay idle; it only exists to compile and drain scan plans.
+  /// One worker: Run executes every task inline on the pass's own thread,
+  /// so a pass never waits on another worker; the IO thread serves the
+  /// read-back's prefetches.
   Driver driver_{1, 1};
   std::function<void(int64_t)> commit_listener_;
 

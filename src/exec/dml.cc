@@ -89,7 +89,7 @@ Result<DmlResult> ExecuteDelete(DeltaTable* table, const ExprPtr& predicate,
     for (const DeltaFileEntry& file : candidates) {
       failed = CheckCancelled(ctx);
       if (!failed.ok()) break;
-      Result<Table> survivors = driver->RunSingleTask(
+      Result<Table> survivors = driver->Run(
           plan::Filter(FileScan(table, snapshot, file, options.io),
                        SurvivorPredicate(predicate)),
           ctx);
@@ -188,7 +188,7 @@ Result<DmlResult> ExecuteUpdate(DeltaTable* table,
       if (predicate != nullptr) {
         // Count matching rows first (with stats pushdown — only matches
         // are needed) so untouched files are never rewritten.
-        Result<Table> matches = driver->RunSingleTask(
+        Result<Table> matches = driver->Run(
             plan::Filter(FileScan(table, snapshot, file, options.io,
                                   predicate),
                          predicate),
@@ -200,7 +200,7 @@ Result<DmlResult> ExecuteUpdate(DeltaTable* table,
         matched = matches->num_rows();
       }
       if (matched == 0) continue;
-      Result<Table> rewritten = driver->RunSingleTask(
+      Result<Table> rewritten = driver->Run(
           plan::Project(FileScan(table, snapshot, file, options.io), exprs,
                         FieldNames(schema)),
           ctx);
@@ -311,12 +311,12 @@ Result<DmlResult> ExecuteMerge(DeltaTable* table, const MergeSpec& spec,
         const Schema joined_schema = joined_plan->output_schema;
         ExprPtr is_matched = eb::IsNotNull(ColRef(joined_schema,
                                                   probe_key_col));
-        Result<Table> joined = driver->RunSingleTask(joined_plan, ctx);
+        Result<Table> joined = driver->Run(joined_plan, ctx);
         if (!joined.ok()) {
           failed = joined.status();
           break;
         }
-        Result<Table> matches = driver->RunSingleTask(
+        Result<Table> matches = driver->Run(
             plan::Filter(plan::Scan(&*joined), is_matched), ctx);
         if (!matches.ok()) {
           failed = matches.status();
@@ -331,7 +331,7 @@ Result<DmlResult> ExecuteMerge(DeltaTable* table, const MergeSpec& spec,
                                  CastTo(spec.matched_exprs[i], type),
                                  ColRef(joined_schema, i)));
         }
-        Result<Table> rewritten = driver->RunSingleTask(
+        Result<Table> rewritten = driver->Run(
             plan::Project(plan::Scan(&*joined), exprs, FieldNames(schema)),
             ctx);
         if (!rewritten.ok()) {
@@ -351,27 +351,36 @@ Result<DmlResult> ExecuteMerge(DeltaTable* table, const MergeSpec& spec,
       }
     }
 
-    // WHEN NOT MATCHED: anti-join the source against the whole target's
-    // key columns; survivors become one inserted file.
+    // WHEN NOT MATCHED: anti-join the source against the target keys that
+    // match it; survivors become one inserted file. The whole target's key
+    // columns stream through a semi join against the source, so both hash
+    // builds hold at most the source's rows.
     if (failed.ok() && !spec.insert_exprs.empty()) {
       failed = CheckCancelled(ctx);
       if (failed.ok()) {
-        // Build side scans only the key columns of every target file.
         std::vector<int> key_cols(spec.target_keys.begin(),
                                   spec.target_keys.end());
-        plan::PlanPtr build =
+        plan::PlanPtr target_keys =
             plan::DeltaScan(table->store(), snapshot, key_cols, nullptr,
                             options.io);
-        std::vector<ExprPtr> build_key_exprs;
+        std::vector<ExprPtr> key_exprs;  // over target_keys' columns
         for (size_t k = 0; k < num_keys; k++) {
-          ExprPtr b = ColRef(build->output_schema, static_cast<int>(k));
-          build_key_exprs.push_back(
-              CastTo(std::move(b), source_key_exprs[k]->type()));
+          ExprPtr t = ColRef(target_keys->output_schema, static_cast<int>(k));
+          key_exprs.push_back(
+              CastTo(std::move(t), source_key_exprs[k]->type()));
         }
-        Result<Table> unmatched = driver->RunSingleTask(
-            plan::Join(plan::Scan(&source), build, JoinType::kLeftAnti,
-                       source_key_exprs, build_key_exprs),
+        Result<Table> matched_keys = driver->Run(
+            plan::Join(target_keys, plan::Scan(&source), JoinType::kLeftSemi,
+                       key_exprs, source_key_exprs),
             ctx);
+        Result<Table> unmatched =
+            matched_keys.ok()
+                ? driver->Run(plan::Join(plan::Scan(&source),
+                                         plan::Scan(&*matched_keys),
+                                         JoinType::kLeftAnti,
+                                         source_key_exprs, key_exprs),
+                              ctx)
+                : matched_keys.status();
         if (!unmatched.ok()) {
           failed = unmatched.status();
         } else if (unmatched->num_rows() > 0) {
@@ -380,7 +389,7 @@ Result<DmlResult> ExecuteMerge(DeltaTable* table, const MergeSpec& spec,
             exprs.push_back(
                 CastTo(spec.insert_exprs[i], schema.field(i).type));
           }
-          Result<Table> inserts = driver->RunSingleTask(
+          Result<Table> inserts = driver->Run(
               plan::Project(plan::Scan(&*unmatched), exprs,
                             FieldNames(schema)),
               ctx);

@@ -293,8 +293,8 @@ Result<OperatorPtr> Driver::InstantiateFragment(const StagedFragment& frag,
                                           leaf->scan_columns,
                                           leaf->scan_predicate, io));
   } else {
-    op = OperatorPtr(
-        new TableSliceScan(frag.source_table, morsel.begin, morsel.end));
+    op = OperatorPtr(new InMemoryScanOperator(frag.source_table, morsel.begin,
+                                              morsel.end));
   }
   if (harvest != nullptr) harvest->emplace_back(op.get(), frag.leaf_node_id);
 
@@ -527,13 +527,25 @@ Result<JoinBuildPtr> Driver::RunJoinBuild(const plan::PlanNode& join,
               return 0;
             });
           }));
+  // A build whose input is a single morsel inserts all its partitions in
+  // one task, which RunTasks runs inline on the calling thread: a small
+  // build (a MERGE's source, a dimension table) is not worth one scheduler
+  // task per partition. The choice depends only on the input; the table
+  // layout, and with it every row and its order, is the same either way.
+  const int parts_per_task =
+      builder->num_morsels() == 1 ? builder->num_partitions() : 1;
   PHOTON_ASSIGN_OR_RETURN(
       int insert_tasks,
       RunTasks(
-          builder->num_partitions(), stage_id, state,
-          [&](int p, int64_t task_id) {
+          builder->num_partitions() / parts_per_task, stage_id, state,
+          [&](int item, int64_t task_id) {
             return timed(task_id, [&]() -> Result<int64_t> {
-              return builder->InsertPartition(p);
+              int64_t rows = 0;
+              for (int p = item * parts_per_task;
+                   p < (item + 1) * parts_per_task; p++) {
+                rows += builder->InsertPartition(p);
+              }
+              return rows;
             });
           }));
   JoinBuildPtr build = builder->Finish();
@@ -746,35 +758,6 @@ Result<Table> Driver::RunSort(const plan::PlanPtr& node, RunState* state,
   }
   FinishStage(state, merge_stage, 1, t0);
   return merged;
-}
-
-// ---------------------------------------------------------------------------
-// Single-task entry point
-// ---------------------------------------------------------------------------
-
-Result<Table> Driver::RunSingleTask(const plan::PlanPtr& plan,
-                                    ExecContext ctx, StageInfo* stage) {
-  if (ctx.optimizer == OptimizerPolicy::kOn) {
-    PHOTON_RETURN_NOT_OK(plan::CheckPlanExprDepths(*plan));
-    ExecContext off = ctx;
-    off.optimizer = OptimizerPolicy::kOff;
-    return RunSingleTask(opt::Optimize(plan), off, stage);
-  }
-  PHOTON_ASSIGN_OR_RETURN(OperatorPtr root, plan::CompilePhoton(plan, ctx));
-  int64_t t0 = NowNs();
-  Result<Table> result = CollectAll(root.get(), ctx.control);
-  if (stage != nullptr) {
-    stage->num_tasks = 1;
-    // Resource metrics (IO, memory, spill) fold over the whole tree into
-    // the stage view; rows/wall come from the root.
-    CollectTreeMetrics(root.get(), &stage->m);
-    stage->m[obs::Metric::kWallNs] = NowNs() - t0;
-    if (result.ok()) {
-      stage->m[obs::Metric::kRowsOut] = result->num_rows();
-      stage->m[obs::Metric::kBatches] = result->num_batches();
-    }
-  }
-  return result;
 }
 
 }  // namespace exec

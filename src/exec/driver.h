@@ -24,8 +24,7 @@ namespace exec {
 /// Per-stage execution summary: a thin view over the obs metrics registry
 /// (the driver's slice of §5.5 live metrics). The snapshot is the merge of
 /// every task's metric shards at the stage barrier, so it is filled
-/// identically by the single-task and morsel-parallel paths, at every
-/// thread count.
+/// identically at every thread count.
 struct StageInfo {
   int stage_id = 0;
   int num_tasks = 0;
@@ -79,7 +78,8 @@ class Driver {
   Driver(TaskScheduler* scheduler, int64_t query_slot, ThreadPool* io_pool)
       : scheduler_(scheduler), query_slot_(query_slot), io_pool_(io_pool) {}
 
-  /// Runs an arbitrary logical plan multi-threaded. The plan is cut into
+  /// Runs a logical plan; the one Photon entry point, at any worker count
+  /// (a 1-worker driver runs every task inline). The plan is cut into
   /// stages at pipeline breakers (stage_planner.h); each stage's input is
   /// split into morsels — fixed-size table batch ranges, or file ranges
   /// for lakehouse scans — which worker tasks claim from a shared atomic
@@ -89,7 +89,8 @@ class Driver {
   ///     states (exact for every kind; scalar aggregates merge in one
   ///     task);
   ///   - joins build their hash table once, in a build stage whose tasks
-  ///     hash build morsels and then fill one table partition each, and
+  ///     hash build morsels and then fill one table partition each (all
+  ///     partitions in one task when the build is a single morsel), and
   ///     probe it from all tasks;
   ///   - sorts produce one sorted run per morsel, k-way merged at the
   ///     stage boundary.
@@ -104,14 +105,6 @@ class Driver {
   Result<Table> Run(const plan::PlanPtr& plan, ExecContext ctx = {},
                     std::vector<StageInfo>* stages = nullptr,
                     obs::QueryProfile* profile = nullptr);
-
-  /// Runs a single-task (single-threaded) Photon plan, like one task of a
-  /// stage (Figure 1: "Photon executes tasks on partitions of data on a
-  /// single thread"). When `stage` is non-null it is filled with the
-  /// task's rows/wall time plus the resource metrics (IO, memory, spill)
-  /// folded over the plan's operator tree.
-  Result<Table> RunSingleTask(const plan::PlanPtr& plan, ExecContext ctx = {},
-                              StageInfo* stage = nullptr);
 
   /// Worker parallelism: the owned pool's size, or the shared
   /// scheduler's in service mode.

@@ -3,13 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
-#include <string>
 #include <vector>
-
-#include "ops/operator.h"
-#include "ops/scan.h"
-#include "vector/table.h"
 
 namespace photon {
 namespace exec {
@@ -57,44 +51,6 @@ class MorselQueue {
  private:
   std::atomic<int> next_{0};
   int num_;
-};
-
-/// A scan over a contiguous range of a table's batches (one task's morsel
-/// of an in-memory input). Values and null bytes are copied into a
-/// scan-owned batch (string bytes shared zero-copy; the table outlives
-/// the query) so downstream operators may rewrite position lists freely.
-class TableSliceScan : public Operator {
- public:
-  TableSliceScan(const Table* table, int begin_batch, int end_batch)
-      : Operator(table->schema()),
-        table_(table),
-        begin_(begin_batch),
-        end_(end_batch) {}
-
-  Status Open() override {
-    next_ = begin_;
-    return Status::OK();
-  }
-
-  Result<ColumnBatch*> GetNextImpl() override {
-    if (next_ >= end_) return nullptr;
-    const ColumnBatch& src = table_->batch(next_++);
-    if (out_ == nullptr || out_->capacity() < src.num_rows()) {
-      out_ = std::make_unique<ColumnBatch>(
-          table_->schema(), std::max(src.capacity(), kDefaultBatchSize));
-    }
-    CopyBatchShallow(src, out_.get());
-    return out_.get();
-  }
-
-  std::string name() const override { return "TableSliceScan"; }
-
- private:
-  const Table* table_;
-  int begin_;
-  int end_;
-  int next_ = 0;
-  std::unique_ptr<ColumnBatch> out_;
 };
 
 }  // namespace exec

@@ -122,18 +122,5 @@ void MetricSnapshot::MergeFrom(const MetricSnapshot& other) {
   }
 }
 
-void MetricSnapshot::MergeResourceFrom(const MetricSet& other) {
-  for (int i = 0; i < kNumMetrics; i++) {
-    Metric m = static_cast<Metric>(i);
-    if (!IsResourceMetric(m)) continue;
-    int64_t ov = other.Value(m);
-    if (IsMaxAggregated(m)) {
-      if (ov > v[i]) v[i] = ov;
-    } else {
-      v[i] += ov;
-    }
-  }
-}
-
 }  // namespace obs
 }  // namespace photon

@@ -124,7 +124,6 @@ struct MetricSnapshot {
   int64_t& operator[](Metric m) { return v[static_cast<int>(m)]; }
 
   void MergeFrom(const MetricSnapshot& other);
-  void MergeResourceFrom(const MetricSet& other);
 };
 
 }  // namespace obs

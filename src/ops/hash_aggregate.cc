@@ -195,7 +195,15 @@ Status HashAggregateOperator::ReserveForDelta() {
   if (exec_ctx_.memory_manager == nullptr) return Status::OK();
   int64_t actual = CurrentMemoryBytes();
   if (actual > reserved_for_data_) {
+    const int spills = spill_seq_;
     PHOTON_RETURN_NOT_OK(Reserve(actual - reserved_for_data_));
+    if (spill_seq_ != spills) {
+      // The top-up spilled this operator itself: the table it was sized
+      // for is gone, and Spill() already returned the rest. Keeping it
+      // would leave a reservation that the next Spill() cannot free.
+      exec_ctx_.memory_manager->Release(this, reserved_for_data_);
+      reserved_for_data_ = 0;
+    }
   }
   return Status::OK();
 }

@@ -52,59 +52,6 @@ void WriteBuildPayload(const JoinBuildState& state, VectorizedHashTable* table,
   }
 }
 
-/// Drains `build_child` (already open) into `state`'s single-partition
-/// table, reserving memory on `state` as it grows.
-Status BuildInto(JoinBuildState* state, Operator* build_child,
-                 const std::vector<ExprPtr>& build_keys,
-                 const ExecContext& exec_ctx) {
-  VectorizedHashTable* table = state->table->partition(0);
-  std::vector<uint64_t> hashes;
-  std::vector<uint8_t*> entries;
-  std::unique_ptr<bool[]> inserted;
-  int inserted_capacity = 0;
-  EvalContext ctx;
-
-  while (true) {
-    ctx.ResetPerBatch();
-    PHOTON_ASSIGN_OR_RETURN(ColumnBatch * batch, build_child->GetNext());
-    if (batch == nullptr) break;
-    int n = batch->num_active();
-    if (n == 0) continue;
-
-    // Reservation phase before growing the table (§5.3).
-    if (exec_ctx.memory_manager != nullptr) {
-      int64_t estimate =
-          static_cast<int64_t>(n) * (state->payload_bytes + 96);
-      PHOTON_RETURN_NOT_OK(exec_ctx.memory_manager->Reserve(state, estimate));
-      state->reserved_for_data += estimate;
-    }
-
-    std::vector<const ColumnVector*> key_vecs;
-    for (const ExprPtr& k : build_keys) {
-      PHOTON_ASSIGN_OR_RETURN(ColumnVector * v, k->Evaluate(batch, &ctx));
-      key_vecs.push_back(v);
-    }
-    hashes.resize(n);
-    entries.resize(n);
-    if (inserted_capacity < n) {
-      inserted = std::make_unique<bool[]>(n);
-      inserted_capacity = n;
-    }
-    VectorizedHashTable::HashKeys(key_vecs, *batch, hashes.data());
-    PHOTON_RETURN_NOT_OK(table->LookupOrInsert(
-        key_vecs, *batch, hashes.data(), entries.data(), inserted.get()));
-    for (int i = 0; i < n; i++) {
-      if (entries[i] == nullptr) continue;  // NULL join key: never matches
-      int row = batch->ActiveRow(i);
-      uint8_t* target =
-          inserted[i] ? entries[i] : table->InsertChained(entries[i]);
-      WriteBuildPayload(*state, table, *batch, row, target);
-      state->build_rows++;
-    }
-  }
-  return Status::OK();
-}
-
 std::vector<DataType> KeyTypes(const std::vector<ExprPtr>& keys) {
   std::vector<DataType> types;
   for (const ExprPtr& k : keys) types.push_back(k->type());
@@ -115,14 +62,14 @@ std::vector<DataType> KeyTypes(const std::vector<ExprPtr>& keys) {
 /// memory manager (if any).
 JoinBuildPtr MakeBuildState(const Schema& build_schema,
                             const std::vector<ExprPtr>& keys,
-                            int partition_bits, const ExecContext& exec_ctx) {
+                            const ExecContext& exec_ctx) {
   auto state = std::make_shared<JoinBuildState>();
   state->build_schema = build_schema;
   state->payload_bytes =
       ComputePayloadLayout(state->build_schema, &state->payload_offsets);
   state->table = std::make_unique<PartitionedHashTable>(
-      partition_bits, KeyTypes(keys), state->payload_bytes,
-      /*match_null_keys=*/false);
+      PartitionedJoinBuild::kPartitionBits, KeyTypes(keys),
+      state->payload_bytes, /*match_null_keys=*/false);
   if (exec_ctx.memory_manager != nullptr) {
     state->memory_manager = exec_ctx.memory_manager;
     BindConsumerToContext(state.get(), exec_ctx);
@@ -215,8 +162,7 @@ Result<std::unique_ptr<PartitionedJoinBuild>> PartitionedJoinBuild::Make(
   b->build_ = build;
   b->keys_ = std::move(keys);
   b->batches_per_morsel_ = batches_per_morsel;
-  b->state_ =
-      MakeBuildState(build->schema(), b->keys_, kPartitionBits, exec_ctx);
+  b->state_ = MakeBuildState(build->schema(), b->keys_, exec_ctx);
   const int num_batches = build->num_batches();
   const int num_morsels =
       std::max(1, (num_batches + batches_per_morsel - 1) / batches_per_morsel);
@@ -349,8 +295,7 @@ HashJoinOperator::HashJoinOperator(JoinBuildPtr build, OperatorPtr probe,
       exec_ctx_(exec_ctx),
       residual_(std::move(residual)),
       adaptive_compaction_(adaptive_compaction),
-      state_(std::move(build)),
-      built_(true) {
+      state_(std::move(build)) {
   PHOTON_CHECK(state_ != nullptr && state_->table != nullptr);
   PHOTON_CHECK(static_cast<int>(probe_keys_.size()) ==
                state_->table->num_keys());
@@ -359,12 +304,7 @@ HashJoinOperator::HashJoinOperator(JoinBuildPtr build, OperatorPtr probe,
 HashJoinOperator::~HashJoinOperator() = default;
 
 Status HashJoinOperator::Open() {
-  if (build_ != nullptr) {
-    PHOTON_RETURN_NOT_OK(build_->Open());
-    state_ = MakeBuildState(build_->output_schema(), build_keys_,
-                            /*partition_bits=*/0, exec_ctx_);
-    built_ = false;
-  }
+  if (build_ != nullptr) PHOTON_RETURN_NOT_OK(BuildFromChild());
   PHOTON_RETURN_NOT_OK(probe_->Open());
   probe_batch_ = nullptr;
   probe_idx_ = 0;
@@ -380,12 +320,26 @@ Status HashJoinOperator::Open() {
   return Status::OK();
 }
 
-Status HashJoinOperator::BuildPhase() {
-  PHOTON_RETURN_NOT_OK(BuildInto(state_.get(), build_.get(), build_keys_,
-                                 exec_ctx_));
-  built_ = true;
-  stats_.SetMax(obs::Metric::kPeakReservedBytes,
-                state_->table->memory_bytes());
+Status HashJoinOperator::BuildFromChild() {
+  state_.reset();
+  PHOTON_RETURN_NOT_OK(build_->Open());
+  Table rows(build_->output_schema());
+  while (true) {
+    PHOTON_ASSIGN_OR_RETURN(ColumnBatch * batch, build_->GetNext());
+    if (batch == nullptr) break;
+    if (batch->num_active() > 0) rows.AppendBatch(CompactBatch(*batch));
+  }
+  // The driver's build algorithm, run serially over one morsel; `rows`
+  // must outlive Finish(), after which entries own their bytes.
+  PHOTON_ASSIGN_OR_RETURN(
+      std::unique_ptr<PartitionedJoinBuild> builder,
+      PartitionedJoinBuild::Make(&rows, build_keys_,
+                                 std::max(1, rows.num_batches()), exec_ctx_));
+  PHOTON_RETURN_NOT_OK(builder->HashMorsel(0));
+  for (int p = 0; p < builder->num_partitions(); p++) {
+    builder->InsertPartition(p);
+  }
+  state_ = builder->Finish();
   return Status::OK();
 }
 
@@ -680,9 +634,6 @@ Result<ColumnBatch*> HashJoinOperator::EmitMatches() {
 }
 
 Result<ColumnBatch*> HashJoinOperator::GetNextImpl() {
-  if (!built_) {
-    PHOTON_RETURN_NOT_OK(BuildPhase());
-  }
   while (true) {
     if (probe_batch_ == nullptr) {
       PHOTON_ASSIGN_OR_RETURN(ColumnBatch * batch, ProbeNextBatch());

@@ -20,10 +20,9 @@ enum class JoinType : uint8_t {
 
 /// The materialized build side of a hash join: the (partitioned) vectorized
 /// hash table plus the payload layout used to pack build columns into
-/// entries. Built once (PartitionedJoinBuild / the join's own build phase)
-/// and then immutable, so any number of probe tasks can share it
-/// concurrently — the paper's broadcast-build, partition-parallel-probe
-/// shape (§2.2).
+/// entries. Built once (by PartitionedJoinBuild) and then immutable, so any
+/// number of probe tasks can share it concurrently — the paper's
+/// broadcast-build, partition-parallel-probe shape (§2.2).
 ///
 /// It is the MemoryConsumer for the build memory; joins cannot release
 /// memory mid-build, so Spill() is a no-op and other consumers spill on
@@ -135,8 +134,10 @@ class PartitionedJoinBuild {
 ///     its first passing candidate or by running out of candidates.
 class HashJoinOperator : public Operator {
  public:
-  /// Self-building join: drains `build` into a private hash table on the
-  /// first GetNext(), then probes.
+  /// Self-building join: Open() drains `build` into an owned table and
+  /// hashes it with PartitionedJoinBuild's two phases run serially, so it
+  /// builds the same table layout, under the same reservation, as the
+  /// driver's build stage; then probes.
   HashJoinOperator(OperatorPtr build, OperatorPtr probe,
                    std::vector<ExprPtr> build_keys,
                    std::vector<ExprPtr> probe_keys, JoinType join_type,
@@ -171,7 +172,8 @@ class HashJoinOperator : public Operator {
   void PublishMetricsImpl() override;
 
  private:
-  Status BuildPhase();
+  /// Self-building join: drains build_ and hashes it into state_.
+  Status BuildFromChild();
   Status ProbeBatch(ColumnBatch* batch);
   void DrainSparseSource();
   Result<ColumnBatch*> ProbeNextBatch();
@@ -199,7 +201,6 @@ class HashJoinOperator : public Operator {
   bool adaptive_compaction_;
 
   JoinBuildPtr state_;  // private when build_ != null, else shared
-  bool built_ = false;
   int64_t compacted_batches_ = 0;
 
   // Probe iteration state.

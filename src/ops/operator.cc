@@ -33,12 +33,4 @@ void PublishTreeMetrics(Operator* root) {
   }
 }
 
-void CollectTreeMetrics(Operator* root, obs::MetricSnapshot* out) {
-  root->PublishMetrics();
-  out->MergeResourceFrom(root->op_metrics());
-  for (Operator* child : root->children()) {
-    CollectTreeMetrics(child, out);
-  }
-}
-
 }  // namespace photon

@@ -148,10 +148,6 @@ Result<Table> CollectAll(Operator* root, QueryControl* control = nullptr);
 /// Calls PublishMetrics on every operator in the tree.
 void PublishTreeMetrics(Operator* root);
 
-/// Publishes and folds the tree's resource metrics (IO, memory, spill)
-/// into `out`, plus nothing else — flow metrics stay per-operator.
-void CollectTreeMetrics(Operator* root, obs::MetricSnapshot* out);
-
 }  // namespace photon
 
 #endif  // PHOTON_OPS_OPERATOR_H_

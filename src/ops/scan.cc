@@ -27,7 +27,8 @@ void CopyBatchShallow(const ColumnBatch& src, ColumnBatch* dst) {
 }
 
 Result<ColumnBatch*> InMemoryScanOperator::GetNextImpl() {
-  if (next_batch_ >= table_->num_batches()) return nullptr;
+  const int end = end_ < 0 ? table_->num_batches() : end_;
+  if (next_batch_ >= end) return nullptr;
   const ColumnBatch& src = table_->batch(next_batch_++);
   if (out_ == nullptr || out_->capacity() < src.num_rows()) {
     out_ = std::make_unique<ColumnBatch>(table_->schema(),

@@ -6,18 +6,24 @@
 
 namespace photon {
 
-/// Scans an in-memory Table, yielding one batch per stored batch. Values
-/// and null bytes are copied into a reusable scan-owned batch (string bytes
-/// are shared zero-copy: the source table outlives the query), so
-/// downstream filters may freely rewrite the position list without
-/// corrupting the table.
+/// Scans the stored batches [begin_batch, end_batch) of an in-memory
+/// Table (all of them by default; a range is one task's morsel), yielding
+/// one batch per stored batch. Values and null bytes are copied into a
+/// reusable scan-owned batch (string bytes are shared zero-copy: the source
+/// table outlives the query), so downstream filters may freely rewrite the
+/// position list without corrupting the table.
 class InMemoryScanOperator : public Operator {
  public:
-  explicit InMemoryScanOperator(const Table* table)
-      : Operator(table->schema()), table_(table) {}
+  /// `end_batch < 0` scans to the table's end.
+  explicit InMemoryScanOperator(const Table* table, int begin_batch = 0,
+                                int end_batch = -1)
+      : Operator(table->schema()),
+        table_(table),
+        begin_(begin_batch),
+        end_(end_batch) {}
 
   Status Open() override {
-    next_batch_ = 0;
+    next_batch_ = begin_;
     return Status::OK();
   }
 
@@ -27,6 +33,8 @@ class InMemoryScanOperator : public Operator {
 
  private:
   const Table* table_;
+  int begin_;
+  int end_;  // exclusive; < 0 = the table's end
   int next_batch_ = 0;
   std::unique_ptr<ColumnBatch> out_;
 };

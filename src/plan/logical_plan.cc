@@ -7,11 +7,6 @@
 #include "expr/fusion.h"
 #include "expr/program.h"
 #include "ops/file_scan.h"
-#include "ops/filter.h"
-#include "ops/fused_filter_project.h"
-#include "ops/limit.h"
-#include "ops/project.h"
-#include "ops/scan.h"
 #include "plan/transition.h"
 
 namespace photon {
@@ -40,9 +35,9 @@ bool IsFusable(PlanKind kind) {
 }
 
 /// Depth-checks every expression hanging off one plan node (not its
-/// children — CompilePhoton/CompileBaseline recurse per node, so each node
-/// is checked exactly once on the way down; CheckPlanExprDepths walks the
-/// whole tree). Gates all the recursive walkers behind it:
+/// children — CompileBaseline recurses per node, so each node is checked
+/// exactly once on the way down; CheckPlanExprDepths walks the whole
+/// tree). Gates all the recursive walkers behind it:
 /// canonicalization, program flattening, tree Evaluate.
 Status CheckNodeExprDepths(const PlanNode& node) {
   std::vector<const ExprPtr*> exprs;
@@ -256,8 +251,7 @@ Result<FusedRun> FuseFilterProjectRun(const PlanNode& root,
   const PlanNode* cur = &root;
   while (IsFusable(cur->kind)) {
     nodes.push_back(cur);
-    run.input = cur->children[0];
-    cur = run.input.get();
+    cur = cur->children[0].get();
   }
   if (nodes.empty()) return run;
   std::vector<FusedStage> stages;
@@ -266,7 +260,7 @@ Result<FusedRun> FuseFilterProjectRun(const PlanNode& root,
     stages.push_back(StageOf(**it));
   }
   PHOTON_ASSIGN_OR_RETURN(run.unit,
-                          FusedUnit::Compile(stages, run.input->output_schema));
+                          FusedUnit::Compile(stages, cur->output_schema));
   run.length = static_cast<int>(nodes.size());
   return run;
 }
@@ -326,69 +320,6 @@ AggPreProject PlanAggPreProject(const PlanNode& agg, ExprPolicy policy) {
                       std::move(slot_names));
   out.fired = true;
   return out;
-}
-
-Result<OperatorPtr> CompilePhoton(const PlanPtr& plan, ExecContext ctx) {
-  PHOTON_RETURN_NOT_OK(CheckNodeExprDepths(*plan));
-  switch (plan->kind) {
-    case PlanKind::kScan:
-      return OperatorPtr(new InMemoryScanOperator(plan->table));
-    case PlanKind::kDeltaScan:
-      return OperatorPtr(new DeltaScanOperator(plan->store, plan->snapshot,
-                                               plan->scan_columns,
-                                               plan->scan_predicate,
-                                               plan->scan_io));
-    case PlanKind::kFilter:
-    case PlanKind::kProject: {
-      PHOTON_ASSIGN_OR_RETURN(FusedRun run,
-                              FuseFilterProjectRun(*plan, ctx.expr_policy));
-      if (run.unit != nullptr) {
-        PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
-                                CompilePhoton(run.input, ctx));
-        return OperatorPtr(new FusedFilterProjectOperator(
-            std::move(child), std::move(run.unit), ctx.expr_policy));
-      }
-      // Tree tier: one vectorized operator per node.
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
-                              CompilePhoton(plan->children[0], ctx));
-      if (plan->kind == PlanKind::kFilter) {
-        return OperatorPtr(
-            new FilterOperator(std::move(child), plan->predicate));
-      }
-      return OperatorPtr(
-          new ProjectOperator(std::move(child), plan->exprs, plan->names));
-    }
-    case PlanKind::kAggregate: {
-      AggPreProject pre = PlanAggPreProject(*plan, ctx.expr_policy);
-      const PlanPtr& input = pre.fired ? pre.input : plan->children[0];
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr child, CompilePhoton(input, ctx));
-      return OperatorPtr(new HashAggregateOperator(
-          std::move(child), pre.fired ? pre.keys : plan->group_keys,
-          plan->key_names, pre.fired ? pre.aggregates : plan->aggregates,
-          ctx));
-    }
-    case PlanKind::kJoin: {
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr probe,
-                              CompilePhoton(plan->children[0], ctx));
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr build,
-                              CompilePhoton(plan->children[1], ctx));
-      return OperatorPtr(new HashJoinOperator(
-          std::move(build), std::move(probe), plan->right_keys,
-          plan->left_keys, plan->join_type, ctx, plan->residual));
-    }
-    case PlanKind::kSort: {
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
-                              CompilePhoton(plan->children[0], ctx));
-      return OperatorPtr(
-          new SortOperator(std::move(child), plan->sort_keys, ctx));
-    }
-    case PlanKind::kLimit: {
-      PHOTON_ASSIGN_OR_RETURN(OperatorPtr child,
-                              CompilePhoton(plan->children[0], ctx));
-      return OperatorPtr(new LimitOperator(std::move(child), plan->limit));
-    }
-  }
-  return Status::Internal("bad plan kind");
 }
 
 Result<baseline::RowOperatorPtr> CompileBaseline(

@@ -20,10 +20,10 @@ class FusedUnit;
 
 namespace plan {
 
-/// Engine-neutral logical operator kinds. A logical plan compiles to either
-/// engine (CompilePhoton / CompileBaseline), which is how the repository
-/// reproduces the paper's "identical logical plans during execution" setup
-/// for every head-to-head experiment (§6.2).
+/// Engine-neutral logical operator kinds. A logical plan runs on either
+/// engine (exec::Driver::Run / CompileBaseline), which is how the
+/// repository reproduces the paper's "identical logical plans during
+/// execution" setup for every head-to-head experiment (§6.2).
 enum class PlanKind : uint8_t {
   kScan,       // in-memory table
   kDeltaScan,  // Delta table snapshot with pruning
@@ -111,9 +111,6 @@ PlanPtr Limit(PlanPtr child, int64_t n);
 ExprPtr ColOf(const PlanPtr& plan, const std::string& name);
 int ColIndex(const PlanPtr& plan, const std::string& name);
 
-/// Compiles to a Photon physical operator tree.
-Result<OperatorPtr> CompilePhoton(const PlanPtr& plan, ExecContext ctx = {});
-
 /// Rejects a plan with any expression nested deeper than kMaxExprDepth,
 /// anywhere in the tree, before a recursive walker can touch it.
 Status CheckPlanExprDepths(const PlanNode& root);
@@ -122,15 +119,14 @@ Status CheckPlanExprDepths(const PlanNode& root);
 struct FusedRun {
   int length = 0;  // nodes covered: the run's root and those below it
   std::shared_ptr<const FusedUnit> unit;  // null iff length == 0
-  PlanPtr input;  // child of the run's lowest node (set iff length > 0)
 };
 
-/// The fusion grouping of both Photon executors (DESIGN.md §12): compiles
-/// the maximal run of filter/project nodes from `root` down along
-/// children[0] into one unit over the run's input schema. The run is empty
-/// when `root` is neither a filter nor a project, and under kTreeOnly,
-/// whose tier runs one FilterOperator/ProjectOperator per node. A Compile
-/// error is returned as the query's error.
+/// The driver's fusion grouping (DESIGN.md §12): compiles the maximal run
+/// of filter/project nodes from `root` down along children[0] into one
+/// unit over the run's input schema. The run is empty when `root` is
+/// neither a filter nor a project, and under kTreeOnly, whose tier runs one
+/// FilterOperator/ProjectOperator per node. A Compile error is returned as
+/// the query's error.
 Result<FusedRun> FuseFilterProjectRun(const PlanNode& root, ExprPolicy policy);
 
 /// Result of the aggregate pre-projection rewrite (DESIGN.md §12): when an

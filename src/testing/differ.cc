@@ -28,10 +28,12 @@
 namespace photon {
 namespace testing {
 
+namespace {
+
 // Doubles render at full %.17g precision: both engines compute per-row
 // IEEE ops in the same order, so agreement is textual equality, and
 // NaN/-0.0 (which Value::Equals rejects) compare fine as text.
-CanonicalResult Canonicalize(const Table& table) {
+CanonicalResult RenderRows(const Table& table) {
   const Schema& schema = table.schema();
   std::vector<std::vector<Value>> rows = table.ToRows();
   CanonicalResult out;
@@ -54,6 +56,13 @@ CanonicalResult Canonicalize(const Table& table) {
     }
     out.push_back(std::move(cells));
   }
+  return out;
+}
+
+}  // namespace
+
+CanonicalResult Canonicalize(const Table& table) {
+  CanonicalResult out = RenderRows(table);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -71,7 +80,7 @@ std::string DiffCanonical(const CanonicalResult& a, const CanonicalResult& b,
     if (a[r] == b[r]) continue;
     size_t c = 0;
     while (c < a[r].size() && c < b[r].size() && a[r][c] == b[r][c]) c++;
-    msg << "first diff at sorted row " << r << " col " << c << ": " << label_a
+    msg << "first diff at row " << r << " col " << c << ": " << label_a
         << "=[";
     for (size_t i = 0; i < a[r].size(); i++) {
       msg << (i ? ", " : "") << a[r][i];
@@ -94,6 +103,25 @@ struct ModeResult {
   CanonicalResult rows;
   bool skipped = false;
 };
+
+/// A Photon run's outcome as a mode: its status, or its canonical rows.
+ModeResult PhotonMode(const std::string& label, const Result<Table>& t) {
+  ModeResult mode;
+  mode.label = label;
+  if (t.ok()) {
+    mode.rows = Canonicalize(*t);
+  } else {
+    mode.status = t.status();
+  }
+  return mode;
+}
+
+/// The one-worker driver of the serial modes, shared by every plan: it runs
+/// each task inline on the calling thread.
+exec::Driver* SerialDriver() {
+  static exec::Driver driver(1, 1);
+  return &driver;
+}
 
 ModeResult RunBaseline(const plan::PlanPtr& p, plan::BaselineJoinImpl impl,
                        const std::string& label) {
@@ -169,28 +197,18 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
   modes.push_back(RunBaseline(p, plan::BaselineJoinImpl::kShuffledHash,
                               "baseline/shuffled-hash"));
 
-  {  // Mode 2: Photon, one task, one thread.
-    ModeResult mode;
-    mode.label = "photon/single-task";
-    Result<Table> t = driver->RunSingleTask(p);
-    if (!t.ok()) {
-      mode.status = t.status();
-    } else {
-      mode.rows = Canonicalize(*t);
-    }
-    modes.push_back(std::move(mode));
-  }
-
-  {  // Mode 3: Photon, morsel-parallel.
-    ModeResult mode;
-    mode.label = "photon/parallel";
-    Result<Table> t = driver->Run(p);
-    if (!t.ok()) {
-      mode.status = t.status();
-    } else {
-      mode.rows = Canonicalize(*t);
-    }
-    modes.push_back(std::move(mode));
+  // Modes 2 and 3: Photon on one worker and morsel-parallel. Morsel and
+  // partition counts depend only on the input, so besides agreeing with
+  // the oracle the two tables must match row for row, in order.
+  exec::Driver* serial = SerialDriver();
+  Result<Table> one_worker = serial->Run(p);
+  Result<Table> parallel = driver->Run(p);
+  modes.push_back(PhotonMode("photon/1-worker", one_worker));
+  modes.push_back(PhotonMode("photon/parallel", parallel));
+  std::string order_diff;
+  if (one_worker.ok() && parallel.ok()) {
+    order_diff = DiffCanonical(RenderRows(*one_worker), RenderRows(*parallel),
+                               "photon/1-worker", "photon/parallel");
   }
 
   {  // Mode 4: Photon under memory pressure + injected scan faults.
@@ -242,17 +260,9 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
       {ExprPolicy::kCompiledOnly, "photon/expr-compiled"},
   };
   for (const TierMode& tier : kTiers) {
-    ModeResult mode;
-    mode.label = tier.label;
     ExecContext ctx;
     ctx.expr_policy = tier.policy;
-    Result<Table> t = driver->RunSingleTask(p, ctx);
-    if (!t.ok()) {
-      mode.status = t.status();
-    } else {
-      mode.rows = Canonicalize(*t);
-    }
-    modes.push_back(std::move(mode));
+    modes.push_back(PhotonMode(tier.label, serial->Run(p, ctx)));
   }
 
   // Leaf catalog shared by the SQL-based modes (7 and 9): register every
@@ -295,7 +305,7 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
             "\noriginal:   " + sql::PlanFingerprint(p) +
             "\nround-trip: " + sql::PlanFingerprint(*round));
       } else {
-        Result<Table> t = driver->RunSingleTask(*round);
+        Result<Table> t = serial->Run(*round);
         if (!t.ok()) {
           mode.status = Status::InvalidArgument(
               "round-tripped plan failed to execute: " +
@@ -310,31 +320,13 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
 
   // Mode 8: cost-based optimizer on. The optimizer rewrites the plan
   // (pushdown, semi-join sinking, join reordering, scan pruning) before
-  // execution; the rewritten plan must still produce the oracle's rows,
-  // single-task and morsel-parallel.
+  // execution; the rewritten plan must still produce the oracle's rows, on
+  // one worker and morsel-parallel.
   {
-    struct OptMode {
-      bool parallel;
-      const char* label;
-    };
-    constexpr OptMode kOptModes[] = {
-        {false, "photon/opt-1task"},
-        {true, "photon/opt-parallel"},
-    };
-    for (const OptMode& om : kOptModes) {
-      ModeResult mode;
-      mode.label = om.label;
-      ExecContext ctx;
-      ctx.optimizer = OptimizerPolicy::kOn;
-      Result<Table> t = om.parallel ? driver->Run(p, ctx)
-                                    : driver->RunSingleTask(p, ctx);
-      if (!t.ok()) {
-        mode.status = t.status();
-      } else {
-        mode.rows = Canonicalize(*t);
-      }
-      modes.push_back(std::move(mode));
-    }
+    ExecContext ctx;
+    ctx.optimizer = OptimizerPolicy::kOn;
+    modes.push_back(PhotonMode("photon/opt-1worker", serial->Run(p, ctx)));
+    modes.push_back(PhotonMode("photon/opt-parallel", driver->Run(p, ctx)));
   }
 
   for (const ModeResult& mode : modes) {
@@ -349,6 +341,10 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
       return mode.label + " diverges from baseline: " + diff + "\nplan:\n" +
              p->ToString();
     }
+  }
+  if (!order_diff.empty()) {
+    return "photon/parallel diverges in row order from photon/1-worker: " +
+           order_diff + "\nplan:\n" + p->ToString();
   }
 
   // Mode 9: generative SQL fuzzing. Mutants of the printed SQL define new
@@ -368,10 +364,10 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
 
       ModeResult mutant_oracle = RunBaseline(
           mp, plan::BaselineJoinImpl::kSortMerge, "mutant/baseline");
-      Result<Table> photon_off = driver->RunSingleTask(mp);
+      Result<Table> photon_off = serial->Run(mp);
       ExecContext opt_ctx;
       opt_ctx.optimizer = OptimizerPolicy::kOn;
-      Result<Table> photon_on = driver->RunSingleTask(mp, opt_ctx);
+      Result<Table> photon_on = serial->Run(mp, opt_ctx);
 
       // A mutant may legitimately fail at runtime (overflow, bad cast);
       // only a baseline success obligates the Photon runs to agree.
@@ -408,13 +404,12 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
 std::string RunConcurrentDifferential(
     const std::vector<plan::PlanPtr>& plans,
     const ConcurrentDifferentialOptions& opts) {
-  // Serial references first: single task, unlimited memory — pure
+  // Serial references first: one worker, unlimited memory — pure
   // sequential execution with nothing shared.
   std::vector<CanonicalResult> expected;
   expected.reserve(plans.size());
-  exec::Driver reference(1);
   for (size_t i = 0; i < plans.size(); i++) {
-    Result<Table> t = reference.RunSingleTask(plans[i]);
+    Result<Table> t = SerialDriver()->Run(plans[i]);
     if (!t.ok()) {
       return "serial reference failed for plan " + std::to_string(i) + ": " +
              t.status().ToString() + "\nplan:\n" + plans[i]->ToString();
@@ -543,8 +538,7 @@ Status ReplayLakeOp(const LakeOp& op, DeltaTable* table,
 Result<Table> ScanLakeVersion(DeltaTable* table, int64_t version,
                               exec::Driver* driver) {
   PHOTON_ASSIGN_OR_RETURN(DeltaSnapshot snapshot, table->Snapshot(version));
-  return driver->RunSingleTask(
-      plan::DeltaScan(table->store(), std::move(snapshot)), ExecContext{});
+  return driver->Run(plan::DeltaScan(table->store(), std::move(snapshot)));
 }
 
 }  // namespace

@@ -25,7 +25,6 @@ std::string DiffCanonical(const CanonicalResult& a, const CanonicalResult& b,
                           const std::string& label_b);
 
 struct DifferentialOptions {
-  int num_threads = 8;
   /// Memory budget for the forced-spill mode. Doubled and retried on
   /// OutOfMemory (hash-join builds cannot spill), up to 4 attempts.
   int64_t spill_budget_bytes = 192 * 1024;
@@ -46,13 +45,14 @@ struct DifferentialOptions {
 };
 
 /// Runs `p` through every differential mode — baseline row engine (both
-/// join impls), Photon single-task, Photon morsel-parallel at
-/// `num_threads`, Photon under a tiny memory budget with injected scan
-/// faults, Photon once per forced expression tier (tree-only / fused
-/// interpreter / compiled kernels, mode 6), a SQL print→parse round trip
-/// (mode 7), the cost-based optimizer single-task and parallel (mode 8),
-/// and optional generative SQL mutants (mode 9) — and diffs the
-/// canonicalized results cell-by-cell.
+/// join impls), Photon on one worker (a driver shared by every call),
+/// Photon morsel-parallel on `driver`, Photon under a tiny memory budget
+/// with injected scan faults, Photon once per forced expression tier
+/// (tree-only / fused interpreter / compiled kernels, mode 6), a SQL
+/// print→parse round trip (mode 7), the cost-based optimizer on one worker
+/// and parallel (mode 8), and optional generative SQL mutants (mode 9) —
+/// and diffs the canonicalized results cell-by-cell. The one-worker and
+/// parallel runs must also match row for row, in order.
 /// Returns "" when all modes agree, else a report naming the diverging
 /// mode and first differing cell. Engine errors (compile or execution)
 /// are reported as divergences too, except that mode 4 skips plans whose
@@ -71,7 +71,7 @@ struct ConcurrentDifferentialOptions {
 /// Mode 5, the concurrency analogue of RunDifferential: executes all of
 /// `plans` in flight at once through one multi-tenant QueryService
 /// (shared scheduler, memory pool, admission queue) and diffs every
-/// result against its own serial single-task run. Serial modes cannot see
+/// result against its own serial one-worker run. Serial modes cannot see
 /// cross-query interference — scheduler fairness bugs, task-group or
 /// shuffle-id collisions, shared-pool backpressure — this mode exists to.
 /// Returns "" when every concurrent result matches its serial reference,

@@ -48,7 +48,7 @@ std::vector<std::pair<int64_t, int64_t>> ScanRows(DeltaTable* table,
                                                   int64_t version = -1) {
   auto snapshot = table->Snapshot(version);
   EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  auto result = driver->RunSingleTask(
+  auto result = driver->Run(
       plan::DeltaScan(table->store(), *std::move(snapshot)));
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   std::vector<std::pair<int64_t, int64_t>> rows;

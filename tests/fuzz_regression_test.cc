@@ -25,7 +25,7 @@ exec::Driver* SharedDriver() {
 }
 
 /// Sweeps the plan through all four fuzzer modes (baseline both join
-/// impls, Photon single-task, Photon 8-thread, Photon tiny-budget spill)
+/// impls, Photon 1-worker, Photon 8-thread, Photon tiny-budget spill)
 /// and asserts zero diffs.
 void ExpectAllModesAgree(const PlanPtr& p) {
   testing::DifferentialOptions opts;
@@ -76,7 +76,7 @@ TEST(FuzzRegressionTest, LeftOuterResidualAllCandidatesFailNullPads) {
       {plan::ColOf(build, "rk")},
       eb::Gt(eb::Col(3, DataType::Int64(), "w"), Lit(int64_t{50})));
 
-  Result<Table> photon = SharedDriver()->RunSingleTask(j);
+  Result<Table> photon = SharedDriver()->Run(j);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   testing::CanonicalResult rows = testing::Canonicalize(*photon);
   // (1,10,1,100), (1,20,1,100), (2,5,∅,∅), (3,40,∅,∅)
@@ -102,7 +102,7 @@ TEST(FuzzRegressionTest, LeftOuterConstantFalseResidualPadsEveryRow) {
                          {plan::ColOf(build, "rk")},
                          eb::Gt(Lit(int64_t{0}), Lit(int64_t{1})));
 
-  Result<Table> photon = SharedDriver()->RunSingleTask(j);
+  Result<Table> photon = SharedDriver()->Run(j);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   testing::CanonicalResult rows = testing::Canonicalize(*photon);
   ASSERT_EQ(rows.size(), 3u);
@@ -128,7 +128,7 @@ TEST(FuzzRegressionTest, LeftOuterResidualFiltersWithinChains) {
       {plan::ColOf(build, "rk")},
       eb::Lt(eb::Col(3, DataType::Int64(), "w"), Lit(int64_t{5})));
 
-  Result<Table> photon = SharedDriver()->RunSingleTask(j);
+  Result<Table> photon = SharedDriver()->Run(j);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   // Key 7: 5 of 40 candidates pass (w in 0..4); key 8: unmatched.
   EXPECT_EQ(photon->num_rows(), 6);
@@ -197,10 +197,10 @@ TEST(FuzzRegressionTest, Q21ExistsNotExistsResidualsOverDuplicateChains) {
   ASSERT_GT(expect_both, 0);
   ASSERT_LT(expect_both, expect_exists);
 
-  Result<Table> r1 = SharedDriver()->RunSingleTask(exists);
+  Result<Table> r1 = SharedDriver()->Run(exists);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_EQ(r1->num_rows(), expect_exists);
-  Result<Table> r2 = SharedDriver()->RunSingleTask(both);
+  Result<Table> r2 = SharedDriver()->Run(both);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ(r2->num_rows(), expect_both);
 
@@ -219,7 +219,7 @@ TEST(FuzzRegressionTest, DecimalSumOverflowFinalizesToNull) {
       p, {}, {},
       {AggregateSpec{AggKind::kSum, plan::ColOf(p, "d"), "s"}});
 
-  Result<Table> photon = SharedDriver()->RunSingleTask(p);
+  Result<Table> photon = SharedDriver()->Run(p);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   testing::CanonicalResult rows = testing::Canonicalize(*photon);
   ASSERT_EQ(rows.size(), 1u);
@@ -242,7 +242,7 @@ TEST(FuzzRegressionTest, DecimalSumTransientWrapStaysExact) {
       p, {}, {},
       {AggregateSpec{AggKind::kSum, plan::ColOf(p, "d"), "s"}});
 
-  Result<Table> photon = SharedDriver()->RunSingleTask(p);
+  Result<Table> photon = SharedDriver()->Run(p);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   testing::CanonicalResult rows = testing::Canonicalize(*photon);
   ASSERT_EQ(rows.size(), 1u);
@@ -268,7 +268,7 @@ TEST(FuzzRegressionTest, DecimalAvgOfWrappedSumStaysExact) {
       {AggregateSpec{AggKind::kSum, plan::ColOf(p, "d"), "s"},
        AggregateSpec{AggKind::kAvg, plan::ColOf(p, "d"), "a"}});
 
-  Result<Table> photon = SharedDriver()->RunSingleTask(p);
+  Result<Table> photon = SharedDriver()->Run(p);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   testing::CanonicalResult rows = testing::Canonicalize(*photon);
   ASSERT_EQ(rows.size(), 1u);
@@ -307,7 +307,7 @@ TEST(FuzzRegressionTest, CappedDecimalOverflowIsNull) {
   p = plan::Project(p, {eb::Mul(plan::ColOf(p, "l"), plan::ColOf(p, "r"))},
                     {"m"});
 
-  Result<Table> photon = SharedDriver()->RunSingleTask(p);
+  Result<Table> photon = SharedDriver()->Run(p);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   ASSERT_EQ(photon->num_rows(), 4);
   std::vector<Value> got;
@@ -336,7 +336,7 @@ TEST(FuzzRegressionTest, CappedDecimalTieRoundsAwayFromZero) {
                     {"s"});
   ASSERT_EQ(p->output_schema.field(0).type, DataType::Decimal(38, 6));
 
-  Result<Table> photon = SharedDriver()->RunSingleTask(p);
+  Result<Table> photon = SharedDriver()->Run(p);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   ASSERT_EQ(photon->num_rows(), 4);
   EXPECT_EQ(photon->GetRow(0)[0].decimal().value(), 12345679);
@@ -388,7 +388,7 @@ TEST(FuzzRegressionTest, ConstantFilterMustNotSinkBelowScalarAggregate) {
 
   ExecContext opt_on;
   opt_on.optimizer = OptimizerPolicy::kOn;
-  Result<Table> photon = SharedDriver()->RunSingleTask(p, opt_on);
+  Result<Table> photon = SharedDriver()->Run(p, opt_on);
   ASSERT_TRUE(photon.ok()) << photon.status().ToString();
   EXPECT_EQ(photon->num_rows(), 0)
       << "constant filter leaked below the scalar aggregate";

@@ -64,13 +64,13 @@ TEST(MetricSetTest, ResourceMergeSkipsFlowMetrics) {
   op.Add(Metric::kSpillBytes, 512);
   op.SetMax(Metric::kPeakReservedBytes, 777);
 
-  obs::MetricSnapshot stage;
+  obs::MetricSet stage;
   stage.MergeResourceFrom(op);
-  EXPECT_EQ(stage[Metric::kRowsOut], 0);
-  EXPECT_EQ(stage[Metric::kWallNs], 0);
-  EXPECT_EQ(stage[Metric::kBytesRead], 4096);
-  EXPECT_EQ(stage[Metric::kSpillBytes], 512);
-  EXPECT_EQ(stage[Metric::kPeakReservedBytes], 777);
+  EXPECT_EQ(stage.Value(Metric::kRowsOut), 0);
+  EXPECT_EQ(stage.Value(Metric::kWallNs), 0);
+  EXPECT_EQ(stage.Value(Metric::kBytesRead), 4096);
+  EXPECT_EQ(stage.Value(Metric::kSpillBytes), 512);
+  EXPECT_EQ(stage.Value(Metric::kPeakReservedBytes), 777);
 }
 
 TEST(MetricSetTest, EveryMetricHasAUniqueName) {

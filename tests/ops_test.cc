@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "common/rng.h"
+#include "exec/driver.h"
 #include "expr/builder.h"
 #include "ops/filter.h"
 #include "ops/hash_aggregate.h"
@@ -424,15 +425,14 @@ TEST(HashJoinTest, CompactionTriggersOnSparseProbes) {
 // output batch and a residual's candidate batch — and through the baseline
 // row engine's shuffled hash join, and the results must agree.
 
-/// First difference between Photon (single task, `batch_size`-row batches)
+/// First difference between Photon (one worker, `batch_size`-row batches)
 /// and the baseline shuffled hash join on `p`; "" when they agree.
 std::string DiffAgainstBaseline(const plan::PlanPtr& p, int batch_size,
                                 int64_t* photon_rows = nullptr) {
   ExecContext ctx;
   ctx.batch_size = batch_size;
-  Result<OperatorPtr> op = plan::CompilePhoton(p, ctx);
-  if (!op.ok()) return op.status().ToString();
-  Result<Table> photon = CollectAll(op->get());
+  exec::Driver driver(1);
+  Result<Table> photon = driver.Run(p, ctx);
   if (!photon.ok()) return photon.status().ToString();
   if (photon_rows != nullptr) *photon_rows = photon->num_rows();
   Result<baseline::RowOperatorPtr> base =
@@ -632,25 +632,14 @@ TEST(JoinKernelTest, ComputedProbeStringsSurviveCompactionAndRefs) {
     }
   }
   // The sparse filter does trigger compaction.
-  plan::PlanPtr scan = plan::Scan(&probe);
-  plan::PlanPtr filtered = plan::Filter(
-      scan,
-      eb::Eq(eb::Mod(plan::ColOf(scan, "k"), Lit(int64_t{16})),
-             Lit(int64_t{0})));
-  plan::PlanPtr projected = plan::Project(
-      filtered,
-      {plan::ColOf(filtered, "k"),
-       eb::Call("upper", {plan::ColOf(filtered, "s")})},
-      {"k", "us"});
-  plan::PlanPtr b = plan::Scan(&build);
-  Result<OperatorPtr> op = plan::CompilePhoton(
-      plan::Join(projected, b, JoinType::kInner, {plan::ColOf(projected, "k")},
-                 {plan::ColOf(b, "k")}));
-  ASSERT_TRUE(op.ok());
-  auto* join = dynamic_cast<HashJoinOperator*>(op->get());
-  ASSERT_NE(join, nullptr);
-  ASSERT_TRUE(CollectAll(join).ok());
-  EXPECT_GT(join->compacted_batches(), 0);
+  HashJoinOperator join(
+      std::make_unique<InMemoryScanOperator>(&build),
+      std::make_unique<FilterOperator>(
+          std::make_unique<InMemoryScanOperator>(&probe),
+          eb::Eq(eb::Mod(K(), Lit(int64_t{16})), Lit(int64_t{0}))),
+      {K()}, {K()}, JoinType::kInner);
+  ASSERT_TRUE(CollectAll(&join).ok());
+  EXPECT_GT(join.compacted_batches(), 0);
 }
 
 // --- Sort ------------------------------------------------------------------

@@ -29,7 +29,7 @@ const tpch::TpchData& Data() {
 // ---------------------------------------------------------------------------
 // Misordered-plan recovery: the optimizer must turn each deliberately
 // pessimal Q3/Q5/Q9/Q10 join tree back into something that produces
-// checksum-identical rows to the hand-ordered plan — single-task and
+// checksum-identical rows to the hand-ordered plan — on one worker and
 // morsel-parallel at 8 threads.
 // ---------------------------------------------------------------------------
 
@@ -43,21 +43,21 @@ TEST_P(MisorderedRecoveryTest, OptimizerRecoversHandOrderedResults) {
   ASSERT_TRUE(mis.ok()) << mis.status().ToString();
 
   exec::Driver single(1);
-  Result<Table> want = single.RunSingleTask(*hand);
+  Result<Table> want = single.Run(*hand);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   // Sanity: the pessimal plan is *correct* even unoptimized.
-  Result<Table> raw = single.RunSingleTask(*mis);
+  Result<Table> raw = single.Run(*mis);
   ASSERT_TRUE(raw.ok()) << raw.status().ToString();
   EXPECT_EQ(testing::Canonicalize(*want), testing::Canonicalize(*raw))
       << "Q" << q << " misordered plan is not semantically equivalent";
 
   ExecContext ctx;
   ctx.optimizer = OptimizerPolicy::kOn;
-  Result<Table> opt1 = single.RunSingleTask(*mis, ctx);
+  Result<Table> opt1 = single.Run(*mis, ctx);
   ASSERT_TRUE(opt1.ok()) << opt1.status().ToString();
   EXPECT_EQ(testing::Canonicalize(*want), testing::Canonicalize(*opt1))
-      << "Q" << q << " optimizer-recovered single-task results diverge";
+      << "Q" << q << " optimizer-recovered 1-worker results diverge";
 
   exec::Driver parallel(8);
   Result<Table> opt8 = parallel.Run(*mis, ctx);
@@ -82,12 +82,12 @@ TEST_P(TpchOptimizerInvarianceTest, OptimizedPlanMatches) {
   ASSERT_TRUE(hand.ok()) << hand.status().ToString();
 
   exec::Driver single(1);
-  Result<Table> off = single.RunSingleTask(*hand);
+  Result<Table> off = single.Run(*hand);
   ASSERT_TRUE(off.ok()) << off.status().ToString();
 
   ExecContext ctx;
   ctx.optimizer = OptimizerPolicy::kOn;
-  Result<Table> on = single.RunSingleTask(*hand, ctx);
+  Result<Table> on = single.Run(*hand, ctx);
   ASSERT_TRUE(on.ok()) << on.status().ToString();
   EXPECT_EQ(testing::Canonicalize(*off), testing::Canonicalize(*on))
       << "Q" << q << " diverges with the optimizer on";
@@ -111,12 +111,12 @@ TEST_P(TpchSqlOptimizerTest, SqlPlanMatchesWithOptimizerOn) {
   ASSERT_TRUE(from_sql.ok()) << from_sql.status().ToString();
 
   exec::Driver single(1);
-  Result<Table> want = single.RunSingleTask(*hand);
+  Result<Table> want = single.Run(*hand);
   ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   ExecContext ctx;
   ctx.optimizer = OptimizerPolicy::kOn;
-  Result<Table> got = single.RunSingleTask(*from_sql, ctx);
+  Result<Table> got = single.Run(*from_sql, ctx);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(testing::Canonicalize(*want), testing::Canonicalize(*got))
       << "SQL Q" << q << " diverges with the optimizer on";
@@ -170,13 +170,13 @@ TEST(OptimizerTest, ScalarAggregateBlocksPushdown) {
       agg, eb::Eq(eb::Lit(int64_t{1}), eb::Lit(int64_t{2})));
 
   exec::Driver single(1);
-  Result<Table> off = single.RunSingleTask(p);
+  Result<Table> off = single.Run(p);
   ASSERT_TRUE(off.ok());
   ASSERT_EQ(off->num_rows(), 0);
 
   ExecContext ctx;
   ctx.optimizer = OptimizerPolicy::kOn;
-  Result<Table> on = single.RunSingleTask(p, ctx);
+  Result<Table> on = single.Run(p, ctx);
   ASSERT_TRUE(on.ok());
   EXPECT_EQ(on->num_rows(), 0)
       << "constant filter leaked below a scalar aggregate";
@@ -202,9 +202,9 @@ TEST(OptimizerTest, PushdownMergesIntoDeltaScanPredicate) {
   EXPECT_NE(optimized->scan_predicate, nullptr);
 
   exec::Driver single(1);
-  Result<Table> off = single.RunSingleTask(p);
+  Result<Table> off = single.Run(p);
   ASSERT_TRUE(off.ok());
-  Result<Table> on = single.RunSingleTask(optimized);
+  Result<Table> on = single.Run(optimized);
   ASSERT_TRUE(on.ok());
   EXPECT_EQ(testing::Canonicalize(*off), testing::Canonicalize(*on));
 }
@@ -232,9 +232,9 @@ TEST(OptimizerTest, ProjectionNarrowsDeltaScanColumns) {
       << optimized->ToString();
 
   exec::Driver single(1);
-  Result<Table> off = single.RunSingleTask(p);
+  Result<Table> off = single.Run(p);
   ASSERT_TRUE(off.ok());
-  Result<Table> on = single.RunSingleTask(optimized);
+  Result<Table> on = single.Run(optimized);
   ASSERT_TRUE(on.ok());
   EXPECT_EQ(testing::Canonicalize(*off), testing::Canonicalize(*on));
 }

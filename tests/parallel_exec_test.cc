@@ -1,5 +1,5 @@
 // Tests for morsel-parallel plan execution through the generalized Driver:
-// result equivalence against single-task execution at 1/2/4/8 threads,
+// result equivalence against the baseline engine at 1/2/4/8 threads,
 // memory-manager correctness under concurrent tasks (including spilling
 // under pressure), and the stage-planner / morsel-queue building blocks.
 
@@ -17,6 +17,7 @@
 #include "io/block_cache.h"
 #include "memory/memory_manager.h"
 #include "obs/profile.h"
+#include "plan/converter.h"
 #include "plan/logical_plan.h"
 #include "plan/stage_planner.h"
 #include "storage/delta.h"
@@ -58,20 +59,22 @@ ExprPtr ColK() { return eb::Col(0, DataType::Int64(), "k"); }
 ExprPtr ColV() { return eb::Col(1, DataType::Int64(), "v"); }
 ExprPtr ColS() { return eb::Col(2, DataType::String(), "s"); }
 
-/// Runs `plan` single-task and through parallel drivers at 1/2/4/8
-/// threads; asserts every parallel run matches the single-task row set and
-/// that all parallel runs are bitwise-identical to each other
-/// (thread-count independence, including row order). With
-/// `ordered_like_single` the parallel order must also equal the
-/// single-task order (plans whose output is one streaming fragment over a
-/// table scan, e.g. a join: that pins duplicate-key chain order to the
-/// serial build's).
-void ExpectParallelMatchesSingle(const plan::PlanPtr& plan,
+/// Runs `plan` on the baseline row engine (the oracle) and through drivers
+/// at 1/2/4/8 threads; asserts every run matches the oracle's row set and
+/// that all runs are identical to each other, row order included
+/// (thread-count independence). With `ordered_like_serial` the order must
+/// also equal the converter's all-Photon plan, whose self-building joins
+/// hash their whole build in one task (plans whose output is one
+/// streaming fragment over a table scan, e.g. a join: that pins
+/// duplicate-key chain order to a serial build's).
+void ExpectParallelMatchesOracle(const plan::PlanPtr& plan,
                                  ExecContext ctx = {},
-                                 bool ordered_like_single = false) {
-  exec::Driver reference(1);
-  Result<Table> single = reference.RunSingleTask(plan, ctx);
-  ASSERT_TRUE(single.ok()) << single.status().ToString();
+                                 bool ordered_like_serial = false) {
+  Result<baseline::RowOperatorPtr> oracle_op = plan::CompileBaseline(plan);
+  ASSERT_TRUE(oracle_op.ok()) << oracle_op.status().ToString();
+  Result<Table> oracle = baseline::CollectAllRows(oracle_op->get());
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  const std::vector<std::vector<Value>> expected = Sorted(oracle->ToRows());
 
   std::vector<std::vector<std::vector<Value>>> parallel_rows;
   for (int threads : {1, 2, 4, 8}) {
@@ -80,9 +83,7 @@ void ExpectParallelMatchesSingle(const plan::PlanPtr& plan,
     Result<Table> out = driver.Run(plan, ctx, &stages);
     ASSERT_TRUE(out.ok()) << "threads=" << threads << ": "
                           << out.status().ToString();
-    EXPECT_EQ(out->num_rows(), single->num_rows()) << "threads=" << threads;
-    EXPECT_EQ(Sorted(out->ToRows()), Sorted(single->ToRows()))
-        << "threads=" << threads;
+    EXPECT_EQ(Sorted(out->ToRows()), expected) << "threads=" << threads;
     ASSERT_FALSE(stages.empty());
     for (const exec::StageInfo& s : stages) EXPECT_GE(s.num_tasks, 1);
     parallel_rows.push_back(out->ToRows());
@@ -92,8 +93,12 @@ void ExpectParallelMatchesSingle(const plan::PlanPtr& plan,
   for (size_t i = 1; i < parallel_rows.size(); i++) {
     EXPECT_EQ(parallel_rows[0], parallel_rows[i]) << "run " << i;
   }
-  if (ordered_like_single) {
-    EXPECT_EQ(parallel_rows[0], single->ToRows());
+  if (ordered_like_serial) {
+    Result<plan::ConversionResult> converted = plan::ConvertPlan(plan, ctx);
+    ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+    Result<Table> serial = baseline::CollectAllRows(converted->root.get());
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    EXPECT_EQ(parallel_rows[0], serial->ToRows());
   }
 }
 
@@ -165,7 +170,7 @@ TEST(StagePlannerTest, CutsThroughProbeSideAndStopsAtBreakers) {
   EXPECT_EQ(cut.leaf.get(), agg.get());
 }
 
-// --- Equivalence: parallel vs single-task -----------------------------------
+// --- Equivalence: parallel vs the baseline oracle ----------------------------
 
 TEST(ParallelEquivalenceTest, GroupedAggregate) {
   Table t = MakeTable(20000, 256);  // 79 batches -> 10 morsels
@@ -177,7 +182,7 @@ TEST(ParallelEquivalenceTest, GroupedAggregate) {
        AggregateSpec{AggKind::kAvg, ColV(), "av"},
        AggregateSpec{AggKind::kMin, ColS(), "smin"},
        AggregateSpec{AggKind::kMax, ColS(), "smax"}});
-  ExpectParallelMatchesSingle(p);
+  ExpectParallelMatchesOracle(p);
 }
 
 TEST(ParallelEquivalenceTest, ScalarAggregate) {
@@ -187,7 +192,7 @@ TEST(ParallelEquivalenceTest, ScalarAggregate) {
       {AggregateSpec{AggKind::kCountStar, nullptr, "n"},
        AggregateSpec{AggKind::kSum, ColV(), "sv"},
        AggregateSpec{AggKind::kAvg, ColV(), "av"}});
-  ExpectParallelMatchesSingle(p);
+  ExpectParallelMatchesOracle(p);
 }
 
 TEST(ParallelEquivalenceTest, ScalarAggregateOverEmptyInput) {
@@ -210,7 +215,7 @@ TEST(ParallelEquivalenceTest, HashJoinSharedBuild) {
       plan::Filter(plan::Scan(&probe), eb::Gt(ColV(), eb::Lit(int64_t{50}))),
       plan::Filter(plan::Scan(&build), eb::Lt(ColV(), eb::Lit(int64_t{400}))),
       JoinType::kInner, {ColK()}, {ColK()});
-  ExpectParallelMatchesSingle(p);
+  ExpectParallelMatchesOracle(p);
 }
 
 TEST(ParallelEquivalenceTest, LeftOuterAndSemiJoins) {
@@ -223,7 +228,7 @@ TEST(ParallelEquivalenceTest, LeftOuterAndSemiJoins) {
        {JoinType::kLeftOuter, JoinType::kLeftSemi, JoinType::kLeftAnti}) {
     plan::PlanPtr p = plan::Join(plan::Scan(&probe), build_side, jt, {ColK()},
                                  {ColK()});
-    ExpectParallelMatchesSingle(p);
+    ExpectParallelMatchesOracle(p);
   }
 }
 
@@ -247,14 +252,14 @@ Table MakeNullableTable(int rows, int batch_size, uint64_t seed) {
 TEST(PartitionedBuildTest, DuplicateHeavyBuildKeepsChainOrder) {
   // 4k build rows on 50 keys: chains of ~80 entries spread over every
   // build morsel. The probe streams over a plain scan, so the parallel
-  // output must reproduce the serial build's chain order exactly.
+  // output must reproduce a serial build's chain order exactly.
   Table probe = MakeTable(600, 64, 7);
   Table build = MakeTable(4000, 128, 9);
   plan::PlanPtr p = plan::Join(
       plan::Scan(&probe),
       plan::Filter(plan::Scan(&build), eb::Lt(ColK(), eb::Lit(int64_t{50}))),
       JoinType::kInner, {ColK()}, {ColK()});
-  ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+  ExpectParallelMatchesOracle(p, {}, /*ordered_like_serial=*/true);
 }
 
 TEST(PartitionedBuildTest, NullKeysWithResidualEveryJoinType) {
@@ -268,7 +273,7 @@ TEST(PartitionedBuildTest, NullKeysWithResidualEveryJoinType) {
     SCOPED_TRACE(static_cast<int>(jt));
     plan::PlanPtr p = plan::Join(plan::Scan(&probe), plan::Scan(&build), jt,
                                  {ColK()}, {ColK()}, residual);
-    ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+    ExpectParallelMatchesOracle(p, {}, /*ordered_like_serial=*/true);
   }
 }
 
@@ -284,7 +289,7 @@ TEST(PartitionedBuildTest, EveryBuildRowOnOneKey) {
   for (JoinType jt : {JoinType::kInner, JoinType::kLeftAnti}) {
     plan::PlanPtr p = plan::Join(plan::Scan(&probe), plan::Scan(&build), jt,
                                  {ColK()}, {ColK()});
-    ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+    ExpectParallelMatchesOracle(p, {}, /*ordered_like_serial=*/true);
   }
 }
 
@@ -293,9 +298,9 @@ TEST(PartitionedBuildTest, StringKeys) {
   Table build = MakeTable(300, 16, 17);
   plan::PlanPtr p = plan::Join(plan::Scan(&probe), plan::Scan(&build),
                                JoinType::kInner, {ColS()}, {ColS()});
-  ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+  ExpectParallelMatchesOracle(p, {}, /*ordered_like_serial=*/true);
   // String group keys through the partitioned merge, too.
-  ExpectParallelMatchesSingle(plan::Aggregate(
+  ExpectParallelMatchesOracle(plan::Aggregate(
       p, {eb::Col(2, DataType::String(), "s")}, {"s"},
       {AggregateSpec{AggKind::kCountStar, nullptr, "n"},
        AggregateSpec{AggKind::kMax, eb::Col(4, DataType::Int64(), "bv"),
@@ -311,7 +316,7 @@ TEST(PartitionedBuildTest, EmptyBuild) {
                       JoinType::kLeftSemi, JoinType::kLeftAnti}) {
     plan::PlanPtr p =
         plan::Join(plan::Scan(&probe), empty, jt, {ColK()}, {ColK()});
-    ExpectParallelMatchesSingle(p, {}, /*ordered_like_single=*/true);
+    ExpectParallelMatchesOracle(p, {}, /*ordered_like_serial=*/true);
   }
 }
 
@@ -324,14 +329,16 @@ void StagesOf(const obs::ProfileNode& node, const std::string& name,
   }
 }
 
-/// The join builds and grouped final merges of the heaviest TPC-H queries
-/// run as multi-task stages; the only single-task merge left is Q17's
-/// scalar aggregate.
-TEST(PartitionedBuildTest, HeavyTpchQueriesHaveNoSingleTaskBuildOrMerge) {
+/// The large join builds and grouped final merges of the heaviest TPC-H
+/// queries run as multi-task stages. A build whose input is one morsel
+/// inserts all its partitions in one task, and the only single-task merge
+/// left is Q17's scalar aggregate.
+TEST(PartitionedBuildTest, HeavyTpchQueriesHaveNoSingleTaskLargeBuildOrMerge) {
   constexpr double kScale = 0.01;
   static const tpch::TpchData* data =
       new tpch::TpchData(tpch::GenerateTpch(kScale));
   exec::Driver driver(4);
+  int multi_task_builds = 0;
   for (int q : {17, 18, 21}) {
     SCOPED_TRACE("q" + std::to_string(q));
     Result<plan::PlanPtr> p = tpch::TpchQuery(q, *data, kScale);
@@ -340,18 +347,28 @@ TEST(PartitionedBuildTest, HeavyTpchQueriesHaveNoSingleTaskBuildOrMerge) {
     obs::QueryProfile profile;
     Result<Table> out = driver.Run(*p, {}, &stages, &profile);
     ASSERT_TRUE(out.ok()) << out.status().ToString();
-    auto tasks_of = [&](int stage_id) {
+    auto stage_of = [&](int stage_id) {
       for (const exec::StageInfo& s : stages) {
-        if (s.stage_id == stage_id) return s.num_tasks;
+        if (s.stage_id == stage_id) return s;
       }
-      return 0;
+      return exec::StageInfo{};
     };
+    auto tasks_of = [&](int stage_id) { return stage_of(stage_id).num_tasks; };
+    auto rows_of = [&](int stage_id) { return stage_of(stage_id).rows_out(); };
     std::vector<int> builds;
     std::vector<int> merges;
     StagesOf(profile.root, "HashJoinBuild", &builds);
     StagesOf(profile.root, "HashAggregateFinal", &merges);
     EXPECT_FALSE(builds.empty());
-    for (int stage : builds) EXPECT_EQ(tasks_of(stage), 4) << stage;
+    for (int stage : builds) {
+      if (tasks_of(stage) == 4) {
+        multi_task_builds++;
+        continue;
+      }
+      // One morsel: at most 8 full batches (the driver's kMorselBatches).
+      EXPECT_EQ(tasks_of(stage), 1) << stage;
+      EXPECT_LE(rows_of(stage), 8 * kDefaultBatchSize) << stage;
+    }
     int single_task_merges = 0;
     for (int stage : merges) {
       if (tasks_of(stage) == 1) single_task_merges++;
@@ -361,6 +378,7 @@ TEST(PartitionedBuildTest, HeavyTpchQueriesHaveNoSingleTaskBuildOrMerge) {
     }
     EXPECT_EQ(single_task_merges, q == 17 ? 1 : 0);
   }
+  EXPECT_GE(multi_task_builds, 1);
 }
 
 TEST(ParallelEquivalenceTest, SortedRunsMerge) {
@@ -371,7 +389,7 @@ TEST(ParallelEquivalenceTest, SortedRunsMerge) {
   plan::PlanPtr p = plan::Sort(
       plan::Filter(plan::Scan(&t), eb::Gt(ColV(), eb::Lit(int64_t{100}))),
       keys);
-  ExpectParallelMatchesSingle(p);
+  ExpectParallelMatchesOracle(p);
 
   // The merged output must actually be ordered.
   exec::Driver driver(8);
@@ -393,7 +411,7 @@ TEST(ParallelEquivalenceTest, LimitOverSort) {
   keys.push_back(SortKey{ColV(), false, true});  // unique key: stable prefix
   plan::PlanPtr p = plan::Limit(plan::Sort(plan::Scan(&t), keys), 100);
   exec::Driver reference(1);
-  Result<Table> single = reference.RunSingleTask(p);
+  Result<Table> single = reference.Run(p);
   ASSERT_TRUE(single.ok());
   for (int threads : {1, 2, 8}) {
     exec::Driver driver(threads);
@@ -437,7 +455,7 @@ TEST(ParallelEquivalenceTest, DeltaScanWithDataSkipping) {
       {AggregateSpec{AggKind::kCountStar, nullptr, "n"},
        AggregateSpec{AggKind::kSum, eb::Col(1, DataType::Int64(), "v"),
                      "sv"}});
-  ExpectParallelMatchesSingle(p);
+  ExpectParallelMatchesOracle(p);
 
   // File pruning + row-group skipping survive the parallel path: only the
   // 4 overlapping files are read, and the non-overlapping row groups of
@@ -456,18 +474,18 @@ TEST(ParallelEquivalenceTest, DeltaScanWithDataSkipping) {
   EXPECT_EQ(row_groups_skipped, 4);
 }
 
-/// Every TPC-H query at 1/2/8 threads must reproduce the single-task
+/// Every TPC-H query at 1/2/4/8 threads must reproduce the baseline's
 /// result — the acceptance bar for the morsel-parallel driver.
 class TpchParallelTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(TpchParallelTest, MatchesSingleTask) {
+TEST_P(TpchParallelTest, MatchesBaseline) {
   constexpr double kScale = 0.002;
   static const tpch::TpchData* data =
       new tpch::TpchData(tpch::GenerateTpch(kScale));
   int q = GetParam();
   Result<plan::PlanPtr> p = tpch::TpchQuery(q, *data, kScale);
   ASSERT_TRUE(p.ok()) << p.status().ToString();
-  ExpectParallelMatchesSingle(*p);
+  ExpectParallelMatchesOracle(*p);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchParallelTest,
@@ -483,7 +501,7 @@ TEST(ParallelMemoryTest, ConcurrentAggregateSpillsUnderPressure) {
        AggregateSpec{AggKind::kMax, ColS(), "smax"}});
 
   exec::Driver reference(1);
-  Result<Table> unlimited = reference.RunSingleTask(p);
+  Result<Table> unlimited = reference.Run(p);
   ASSERT_TRUE(unlimited.ok());
 
   // Below a single morsel task's working set (~4k unique groups), so
@@ -510,7 +528,7 @@ TEST(ParallelMemoryTest, LargeGroupBySpillsInsideMergeTasks) {
       {AggregateSpec{AggKind::kSum, ColK(), "sk"},
        AggregateSpec{AggKind::kMax, ColS(), "smax"}});
   exec::Driver reference(1);
-  Result<Table> unlimited = reference.RunSingleTask(p);
+  Result<Table> unlimited = reference.Run(p);
   ASSERT_TRUE(unlimited.ok());
   const std::vector<std::vector<Value>> expected = Sorted(unlimited->ToRows());
 
@@ -548,7 +566,7 @@ TEST(ParallelMemoryTest, ConcurrentSortSpillsUnderPressure) {
   plan::PlanPtr p = plan::Sort(plan::Scan(&t), keys);
 
   exec::Driver reference(1);
-  Result<Table> unlimited = reference.RunSingleTask(p);
+  Result<Table> unlimited = reference.Run(p);
   ASSERT_TRUE(unlimited.ok());
 
   // Below a single morsel task's materialized input, so every task spills

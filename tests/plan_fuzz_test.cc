@@ -120,7 +120,7 @@ struct SeedInputs {
 
 /// K seeds in flight: each group runs plans from kSeedsPerGroup distinct
 /// seeds concurrently through one QueryService and diffs every result
-/// against its serial single-task run (pt::RunConcurrentDifferential).
+/// against its serial 1-worker run (pt::RunConcurrentDifferential).
 /// Groups cover the same 1..64 seed range as the serial corpus.
 class ConcurrentPlanFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 

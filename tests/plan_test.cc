@@ -52,9 +52,8 @@ std::vector<std::vector<Value>> Sorted(std::vector<std::vector<Value>> rows) {
 /// Runs a plan through both engines and asserts identical result sets.
 /// This is the end-to-end consistency testing of §5.6.
 void ExpectEnginesAgree(const PlanPtr& p) {
-  Result<OperatorPtr> photon_op = plan::CompilePhoton(p);
-  ASSERT_TRUE(photon_op.ok()) << photon_op.status().ToString();
-  Result<Table> photon_result = CollectAll(photon_op->get());
+  exec::Driver driver(1);
+  Result<Table> photon_result = driver.Run(p);
   ASSERT_TRUE(photon_result.ok()) << photon_result.status().ToString();
 
   for (plan::BaselineJoinImpl impl : {plan::BaselineJoinImpl::kSortMerge,
@@ -111,9 +110,8 @@ TEST(PlanConsistencyTest, SortWithExpressionsAndStrings) {
   p = plan::Limit(p, 100);
   // Limit after a total sort is deterministic (ties broken by stable sort
   // over identical input order in both engines).
-  Result<OperatorPtr> photon_op = plan::CompilePhoton(p);
-  ASSERT_TRUE(photon_op.ok());
-  Result<Table> a = CollectAll(photon_op->get());
+  exec::Driver driver(1);
+  Result<Table> a = driver.Run(p);
   ASSERT_TRUE(a.ok());
   Result<baseline::RowOperatorPtr> base_op = plan::CompileBaseline(p);
   ASSERT_TRUE(base_op.ok());
@@ -207,9 +205,114 @@ TEST(ConverterTest, NothingSupportedMeansPureLegacy) {
   EXPECT_EQ(result->num_rows(), 10);
 }
 
+// --- Self-building join (converter path) -----------------------------------
+//
+// The converter's Photon joins build their own table: Open() drains the
+// build child and hashes it with the driver's two build phases, run
+// serially. Results must match the baseline, and rows and order must
+// match Driver::Run, whose build stage fills the same partitioned table.
+
+/// (k, tag) rows: k cycles over `keys` values, NULL on every `null_every`th
+/// row (0 = never); tag numbers the rows, so duplicate-key chain order
+/// shows in the output.
+Table MakeKeyed(int rows, int keys, int null_every, int batch_size) {
+  Schema schema({Field("k", DataType::Int64(), true),
+                 Field("tag", DataType::Int64())});
+  TableBuilder builder(schema, batch_size);
+  for (int i = 0; i < rows; i++) {
+    const bool null_key = null_every > 0 && i % null_every == 0;
+    builder.AppendRow({null_key ? Value::Null() : Value::Int64(i % keys),
+                       Value::Int64(i)});
+  }
+  return builder.Finish();
+}
+
+/// Runs `p` through the converter's all-Photon plan; checks it against the
+/// baseline (as sets) and against a 1-worker Driver::Run (in order).
+void ExpectSelfBuildingJoinAgrees(const PlanPtr& p) {
+  Result<plan::ConversionResult> converted = plan::ConvertPlan(p);
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+  ASSERT_EQ(converted->legacy_nodes, 0);
+  Result<Table> mixed = baseline::CollectAllRows(converted->root.get());
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+
+  Result<baseline::RowOperatorPtr> base = plan::CompileBaseline(p);
+  ASSERT_TRUE(base.ok());
+  Result<Table> expected = baseline::CollectAllRows(base->get());
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(Sorted(mixed->ToRows()), Sorted(expected->ToRows()));
+
+  exec::Driver driver(1);
+  Result<Table> run = driver.Run(p);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(mixed->ToRows(), run->ToRows());
+}
+
+PlanPtr KeyedJoin(const Table& probe, const PlanPtr& build, JoinType type) {
+  PlanPtr l = plan::Scan(&probe);
+  PlanPtr r = plan::Project(
+      build, {plan::ColOf(build, "k"), plan::ColOf(build, "tag")},
+      {"bk", "btag"});
+  return plan::Join(l, r, type, {plan::ColOf(l, "k")},
+                    {plan::ColOf(r, "bk")});
+}
+
+TEST(SelfBuildingJoinTest, DuplicateChainsAcrossManyBuildMorsels) {
+  // 64-row batches: the 3000-row build spans 47 batches, several driver
+  // morsels of kMorselBatches (8) batches, with ~100 entries per chain.
+  Table probe = MakeKeyed(500, 40, 0, 64);
+  Table build = MakeKeyed(3000, 30, 0, 64);
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                        JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    ExpectSelfBuildingJoinAgrees(KeyedJoin(probe, plan::Scan(&build), type));
+  }
+}
+
+TEST(SelfBuildingJoinTest, NullBuildKeysNeverMatch) {
+  Table probe = MakeKeyed(700, 25, 5, 64);
+  Table build = MakeKeyed(900, 20, 3, 64);
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                        JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    ExpectSelfBuildingJoinAgrees(KeyedJoin(probe, plan::Scan(&build), type));
+  }
+}
+
+TEST(SelfBuildingJoinTest, EmptyBuild) {
+  Table probe = MakeKeyed(600, 25, 7, 64);
+  Table build = MakeKeyed(400, 20, 0, 64);
+  PlanPtr scan = plan::Scan(&build);
+  PlanPtr empty =
+      plan::Filter(scan, eb::Lt(plan::ColOf(scan, "tag"), Lit(int64_t{0})));
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter,
+                        JoinType::kLeftSemi, JoinType::kLeftAnti}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    ExpectSelfBuildingJoinAgrees(KeyedJoin(probe, empty, type));
+  }
+}
+
+TEST(SelfBuildingJoinTest, FailedBuildReservationIsTypedAndReleased) {
+  Table probe = MakeKeyed(500, 40, 0, 64);
+  Table build = MakeKeyed(3000, 30, 0, 64);
+  MemoryManager mm(16 * 1024);  // far below the build's reservation
+  ExecContext ctx;
+  ctx.memory_manager = &mm;
+  ctx.reserve_timeout_ms = 0;
+  Result<plan::ConversionResult> converted = plan::ConvertPlan(
+      KeyedJoin(probe, plan::Scan(&build), JoinType::kInner), ctx);
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+  Result<Table> out = baseline::CollectAllRows(converted->root.get());
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsOutOfMemory()) << out.status().ToString();
+  EXPECT_EQ(mm.reserved(), 0);
+  converted->root.reset();
+  EXPECT_EQ(mm.reserved(), 0);
+}
+
 // --- Driver / stages ----------------------------------------------------------
 
-TEST(DriverTest, PartitionedAggregateMatchesSingleTask) {
+TEST(DriverTest, PartitionedAggregateMatchesOneWorker) {
   Table sales = MakeSales(20000, 9);
   PlanPtr p = plan::Scan(&sales);
   std::vector<ExprPtr> keys = {plan::ColOf(p, "store")};
@@ -219,7 +322,7 @@ TEST(DriverTest, PartitionedAggregateMatchesSingleTask) {
   PlanPtr agg_plan = plan::Aggregate(p, keys, {"store"}, aggs);
 
   exec::Driver reference(1);
-  Result<Table> single = reference.RunSingleTask(agg_plan);
+  Result<Table> single = reference.Run(agg_plan);
   ASSERT_TRUE(single.ok());
   std::vector<std::vector<Value>> first;
   for (int threads : {1, 2, 8}) {

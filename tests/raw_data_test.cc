@@ -3,6 +3,7 @@
 #include <map>
 
 #include "common/rng.h"
+#include "exec/driver.h"
 #include "expr/builder.h"
 #include "ops/scan.h"
 #include "ops/shuffle.h"
@@ -47,9 +48,8 @@ TEST(RawDataTest, WideTableManyColumns) {
   }
   plan::PlanPtr agg = plan::Aggregate(p, {}, {}, aggs);
 
-  Result<OperatorPtr> op = plan::CompilePhoton(agg);
-  ASSERT_TRUE(op.ok());
-  Result<Table> photon_result = CollectAll(op->get());
+  exec::Driver driver(1);
+  Result<Table> photon_result = driver.Run(agg);
   ASSERT_TRUE(photon_result.ok());
   ASSERT_EQ(photon_result->num_rows(), 1);
 
@@ -89,9 +89,8 @@ TEST(RawDataTest, LargeStringValues) {
                      eb::Cast(plan::ColOf(p, "len"), DataType::Int64()),
                      "total_len"}});
 
-  Result<OperatorPtr> op = plan::CompilePhoton(p);
-  ASSERT_TRUE(op.ok());
-  Result<Table> photon_result = CollectAll(op->get());
+  exec::Driver driver(1);
+  Result<Table> photon_result = driver.Run(p);
   ASSERT_TRUE(photon_result.ok()) << photon_result.status().ToString();
   EXPECT_EQ(photon_result->num_rows(), 4);
 
@@ -169,9 +168,8 @@ TEST(RawDataTest, MostlyNullColumns) {
       p, {}, {},
       {AggregateSpec{AggKind::kSum, plan::ColOf(p, "v"), "s"},
        AggregateSpec{AggKind::kCount, plan::ColOf(p, "v"), "c"}});
-  Result<OperatorPtr> op = plan::CompilePhoton(p);
-  ASSERT_TRUE(op.ok());
-  Result<Table> result = CollectAll(op->get());
+  exec::Driver driver(1);
+  Result<Table> result = driver.Run(p);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->GetRow(0)[1], Value::Int64(expected_count));
   EXPECT_NEAR(result->GetRow(0)[0].f64(), expected_sum, 1e-9);

@@ -264,11 +264,11 @@ TEST(QueryServiceTest, ConcurrentSessionsMatchSerialReference) {
                   100),
   };
 
-  // Serial references, single-task.
+  // Serial references, one worker.
   std::vector<Table> expected;
   for (const auto& p : plans) {
     exec::Driver reference(1);
-    Result<Table> r = reference.RunSingleTask(p);
+    Result<Table> r = reference.Run(p);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     expected.push_back(std::move(*r));
   }
@@ -442,7 +442,7 @@ TEST(CancellationTest, MidScanReleasesEverything) {
   DeltaFixture fx;
   plan::PlanPtr plan = fx.ScanAggPlan();
   exec::Driver reference(1);
-  Result<Table> expected = reference.RunSingleTask(plan);
+  Result<Table> expected = reference.Run(plan);
   ASSERT_TRUE(expected.ok());
   for (int threads : {1, 8}) {
     SweepCancellationPoints(plan, threads, 64LL << 20, &fx.cache,
@@ -460,7 +460,7 @@ TEST(CancellationTest, MidBuildReleasesEverything) {
                  {ColK()}, {ColK()}),
       {}, {}, {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
   exec::Driver reference(1);
-  Result<Table> expected = reference.RunSingleTask(plan);
+  Result<Table> expected = reference.Run(plan);
   ASSERT_TRUE(expected.ok());
   for (int threads : {1, 8}) {
     SweepCancellationPoints(plan, threads, 64LL << 20, nullptr, &*expected);
@@ -481,7 +481,7 @@ TEST(CancellationTest, EveryCheckpointOfPartitionedBuildAndMerge) {
                  {ColV()}, {ColV()}),
       {ColK()}, {"k"}, {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
   exec::Driver reference(1);
-  Result<Table> expected = reference.RunSingleTask(plan);
+  Result<Table> expected = reference.Run(plan);
   ASSERT_TRUE(expected.ok());
   for (int threads : {1, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -511,7 +511,7 @@ TEST(CancellationTest, MidSpillReleasesEverything) {
   plan::PlanPtr plan =
       plan::Sort(plan::Scan(&table), {SortKey{ColV(), true}});
   exec::Driver reference(1);
-  Result<Table> expected = reference.RunSingleTask(plan);
+  Result<Table> expected = reference.Run(plan);
   ASSERT_TRUE(expected.ok());
   for (int threads : {1, 8}) {
     SweepCancellationPoints(plan, threads, /*memory_limit=*/1 << 20,

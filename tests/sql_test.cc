@@ -96,7 +96,7 @@ class SqlTest : public ::testing::Test {
     plan::PlanPtr p = Compile(query);
     PHOTON_CHECK(p != nullptr);
     exec::Driver driver(1);
-    Result<Table> t = driver.RunSingleTask(p);
+    Result<Table> t = driver.Run(p);
     PHOTON_CHECK(t.ok());
     return std::move(*t);
   }
@@ -554,7 +554,7 @@ class SqlDmlTest : public ::testing::Test {
     Result<CompiledStatement> s = CompileStatement(text, catalog_);
     PHOTON_CHECK(s.ok());
     PHOTON_CHECK(s->kind == StatementKind::kSelect);
-    Result<Table> t = driver_.RunSingleTask(s->plan);
+    Result<Table> t = driver_.Run(s->plan);
     PHOTON_CHECK(t.ok());
     return std::move(*t);
   }

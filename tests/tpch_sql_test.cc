@@ -22,7 +22,7 @@ const tpch::TpchData& Data() {
 /// Every TPC-H query shipped as a .sql file must lower to a plan that is
 /// structurally identical (same fingerprint) to the hand-built plan in
 /// tpch_queries.cc, and must produce checksum-identical results when
-/// executed — single-task and morsel-parallel at 8 threads. This pins the
+/// executed — on one worker and morsel-parallel at 8 threads. This pins the
 /// whole SQL front-end (lexer → parser → analyzer → lowering) against 22
 /// non-trivial golden plans.
 class TpchSqlTest : public ::testing::TestWithParam<int> {};
@@ -42,15 +42,15 @@ TEST_P(TpchSqlTest, MatchesHandBuiltPlan) {
       << "Q" << q << " SQL plan diverges from the hand-built plan.\nSQL:\n"
       << *text;
 
-  // Single-task execution.
+  // One-worker execution.
   exec::Driver single(1);
-  Result<Table> hand_result = single.RunSingleTask(*hand);
+  Result<Table> hand_result = single.Run(*hand);
   ASSERT_TRUE(hand_result.ok()) << hand_result.status().ToString();
-  Result<Table> sql_result = single.RunSingleTask(*from_sql);
+  Result<Table> sql_result = single.Run(*from_sql);
   ASSERT_TRUE(sql_result.ok()) << sql_result.status().ToString();
   EXPECT_EQ(testing::Canonicalize(*hand_result),
             testing::Canonicalize(*sql_result))
-      << "Q" << q << " single-task results diverge";
+      << "Q" << q << " 1-worker results diverge";
 
   // Morsel-parallel execution at 8 threads.
   exec::Driver parallel(8);
