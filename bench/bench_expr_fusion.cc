@@ -86,6 +86,7 @@ Table MakeTable(int64_t rows) {
     }
     batch->set_num_rows(n);
     batch->SetAllActive();
+    batch->ResolveMetadata();
     table.AppendBatch(std::move(batch));
     done += n;
   }

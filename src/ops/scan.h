@@ -8,10 +8,12 @@ namespace photon {
 
 /// Scans the stored batches [begin_batch, end_batch) of an in-memory
 /// Table (all of them by default; a range is one task's morsel), yielding
-/// one batch per stored batch. Values and null bytes are copied into a
-/// reusable scan-owned batch (string bytes are shared zero-copy: the source
-/// table outlives the query), so downstream filters may freely rewrite the
-/// position list without corrupting the table.
+/// one batch per stored batch. Nothing is copied: each batch is a view that
+/// lends the table's own column vectors (the source table outlives the
+/// query) and carries its own position list, which is all a downstream
+/// filter rewrites (§4.3). Lent vectors are read-only; the table's batches
+/// carry resolved has-NULLs/all-ASCII metadata, so kernels that consult it
+/// never write into them.
 class InMemoryScanOperator : public Operator {
  public:
   /// `end_batch < 0` scans to the table's end.
@@ -36,13 +38,8 @@ class InMemoryScanOperator : public Operator {
   int begin_;
   int end_;  // exclusive; < 0 = the table's end
   int next_batch_ = 0;
-  std::unique_ptr<ColumnBatch> out_;
+  std::unique_ptr<ColumnBatch> view_;
 };
-
-/// Copies batch contents (values, nulls, activity) from src into dst;
-/// string payload bytes are shared, not copied. dst must have the same
-/// schema and at least the same capacity.
-void CopyBatchShallow(const ColumnBatch& src, ColumnBatch* dst);
 
 }  // namespace photon
 

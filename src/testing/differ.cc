@@ -59,6 +59,32 @@ CanonicalResult RenderRows(const Table& table) {
   return out;
 }
 
+/// The in-memory tables `node` scans.
+void CollectScanTables(const plan::PlanNode& node,
+                       std::set<const Table*>* out) {
+  if (node.kind == plan::PlanKind::kScan) out->insert(node.table);
+  for (const plan::PlanPtr& child : node.children) {
+    CollectScanTables(*child, out);
+  }
+}
+
+/// An input table as a run finds it: its rows in stored order, then one
+/// row of per-batch metadata. Photon's scans lend the table's vectors, so
+/// no run may change either.
+CanonicalResult InputFingerprint(const Table& table) {
+  CanonicalResult out = RenderRows(table);
+  std::vector<std::string> meta;
+  for (int b = 0; b < table.num_batches(); b++) {
+    for (int c = 0; c < table.batch(b).num_columns(); c++) {
+      const ColumnVector& col = *table.batch(b).column(c);
+      meta.push_back(std::to_string(static_cast<int>(col.has_nulls())) +
+                     std::to_string(static_cast<int>(col.all_ascii())));
+    }
+  }
+  out.push_back(std::move(meta));
+  return out;
+}
+
 }  // namespace
 
 CanonicalResult Canonicalize(const Table& table) {
@@ -185,6 +211,24 @@ bool ResultIsDeterministic(const plan::PlanPtr& p) {
 
 std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
                             const DifferentialOptions& opts) {
+  // Lent-vector contract: every run leaves its input tables as it found
+  // them, values and metadata alike.
+  std::set<const Table*> inputs;
+  CollectScanTables(*p, &inputs);
+  std::map<const Table*, CanonicalResult> before;
+  for (const Table* t : inputs) before[t] = InputFingerprint(*t);
+  auto inputs_changed = [&]() -> std::string {
+    for (const Table* t : inputs) {
+      std::string diff = DiffCanonical(before[t], InputFingerprint(*t),
+                                       "input/before", "input/after");
+      if (!diff.empty()) {
+        return "a run wrote into an input table: " + diff + "\nplan:\n" +
+               p->ToString();
+      }
+    }
+    return "";
+  };
+
   // Mode 1: baseline row engine — the oracle (both join implementations).
   ModeResult oracle =
       RunBaseline(p, plan::BaselineJoinImpl::kSortMerge, "baseline/sort-merge");
@@ -329,6 +373,9 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
     modes.push_back(PhotonMode("photon/opt-parallel", driver->Run(p, ctx)));
   }
 
+  if (std::string changed = inputs_changed(); !changed.empty()) {
+    return changed;
+  }
   for (const ModeResult& mode : modes) {
     if (mode.skipped) continue;
     if (!mode.status.ok()) {
@@ -398,7 +445,7 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
       }
     }
   }
-  return "";
+  return inputs_changed();
 }
 
 std::string RunConcurrentDifferential(

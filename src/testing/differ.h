@@ -52,7 +52,9 @@ struct DifferentialOptions {
 /// print→parse round trip (mode 7), the cost-based optimizer on one worker
 /// and parallel (mode 8), and optional generative SQL mutants (mode 9) —
 /// and diffs the canonicalized results cell-by-cell. The one-worker and
-/// parallel runs must also match row for row, in order.
+/// parallel runs must also match row for row, in order, and every run must
+/// leave the plan's in-memory input tables as it found them, values and
+/// batch metadata alike (Photon's scans lend those tables' vectors).
 /// Returns "" when all modes agree, else a report naming the diverging
 /// mode and first differing cell. Engine errors (compile or execution)
 /// are reported as divergences too, except that mode 4 skips plans whose

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/string_util.h"
+
 namespace photon {
 
 std::string ColumnBatch::ToString() const {
@@ -19,6 +21,15 @@ std::string ColumnBatch::ToString() const {
   }
   if (num_active_ > 20) out << "  ... (" << num_active_ - 20 << " more)\n";
   return out.str();
+}
+
+void ColumnBatch::ResolveMetadata() {
+  for (ColumnVector* col : columns_) {
+    col->ComputeHasNulls(pos_list(), num_active_, all_active_);
+    if (col->type().is_string()) {
+      col->ComputeAllAscii(pos_list(), num_active_, all_active_);
+    }
+  }
 }
 
 namespace {
@@ -39,6 +50,14 @@ void GatherFixed(const uint8_t* PHOTON_RESTRICT in, const int32_t* rows, int n,
 TriState MergeHasNulls(TriState before, bool any_null, int dst_begin) {
   if (any_null) return TriState::kYes;
   return dst_begin == 0 ? TriState::kNo : before;
+}
+
+/// All-ASCII of `n` gathered strings (NULL slots are skipped).
+TriState GatheredAllAscii(const StringRef* strs, const uint8_t* nulls, int n) {
+  for (int i = 0; i < n; i++) {
+    if (!nulls[i] && !IsAscii(strs[i].data, strs[i].len)) return TriState::kNo;
+  }
+  return TriState::kYes;
 }
 
 TriState MergeAllAscii(TriState before, TriState src, int dst_begin) {
@@ -66,6 +85,7 @@ void GatherRows(const ColumnBatch& src, const int32_t* rows, int n,
     }
 
     const int width = in.type().byte_width();
+    TriState ascii = in.all_ascii();
     uint8_t* out_bytes =
         out->data<uint8_t>() + static_cast<size_t>(dst_begin) * width;
     if (in.type().is_var_len() && strings == StringGather::kCopy) {
@@ -75,6 +95,11 @@ void GatherRows(const ColumnBatch& src, const int32_t* rows, int n,
       for (int i = 0; i < n; i++) {
         out_strs[i] =
             out_nulls[i] ? StringRef() : pool->AddString(in_strs[rows[i]]);
+      }
+      // The bytes were just copied, so resolving all-ASCII here is cheap;
+      // compacted batches end up in Tables, whose metadata must be known.
+      if (ascii == TriState::kUnknown) {
+        ascii = GatheredAllAscii(out_strs, out_nulls, n);
       }
     } else {
       switch (width) {
@@ -93,8 +118,7 @@ void GatherRows(const ColumnBatch& src, const int32_t* rows, int n,
       }
     }
     out->set_has_nulls(MergeHasNulls(out->has_nulls(), any_null, dst_begin));
-    out->set_all_ascii(MergeAllAscii(out->all_ascii(), in.all_ascii(),
-                                     dst_begin));
+    out->set_all_ascii(MergeAllAscii(out->all_ascii(), ascii, dst_begin));
   }
 }
 

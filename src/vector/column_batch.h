@@ -34,7 +34,8 @@ class ColumnBatch {
 
   /// Creates a batch whose columns are *views*: raw pointers installed later
   /// via SetColumnView. Used by Project, which returns expression results
-  /// without copying them (the vectors stay owned by its EvalContext).
+  /// without copying them (the vectors stay owned by its EvalContext), and
+  /// by the in-memory scan, which lends the table's vectors.
   static std::unique_ptr<ColumnBatch> MakeView(Schema schema, int capacity) {
     auto batch =
         std::unique_ptr<ColumnBatch>(new ColumnBatch(capacity));
@@ -115,6 +116,12 @@ class ColumnBatch {
     }
   }
 
+  /// Computes every column's unknown has-NULLs (and all-ASCII) metadata
+  /// over the active rows. Producers of Table batches call this, or
+  /// resolve it while they touch the rows: scans lend those vectors
+  /// read-only (ColumnVector::MetadataResolved).
+  void ResolveMetadata();
+
   std::string ToString() const;
 
  private:
@@ -141,7 +148,8 @@ enum class StringGather { kCopy, kRef };
 /// `src` into rows [dst_begin, dst_begin + n) of the first
 /// src.num_columns() columns of `dst` (same types), with one type dispatch
 /// per column. `rows` must be active rows of `src`: the batch metadata
-/// (has-NULLs, all-ASCII) of the gathered range is derived from them.
+/// (has-NULLs, all-ASCII) of the gathered range is derived from them, and
+/// a kCopy gather resolves all-ASCII from the bytes it copies.
 void GatherRows(const ColumnBatch& src, const int32_t* rows, int n,
                 ColumnBatch* dst, int dst_begin, StringGather strings);
 

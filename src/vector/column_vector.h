@@ -80,6 +80,14 @@ class ColumnVector {
   bool ComputeAllAscii(const int32_t* pos_list, int num_rows,
                        bool all_active);
 
+  /// True when has-NULLs (and all-ASCII, for strings) is known, so the
+  /// Compute* calls only read it. Every batch a Table holds is resolved:
+  /// scans lend those vectors to concurrent queries, which must not write.
+  bool MetadataResolved() const {
+    return has_nulls_ != TriState::kUnknown &&
+           (!type_.is_string() || all_ascii_ != TriState::kUnknown);
+  }
+
   void ResetMetadata() {
     has_nulls_ = TriState::kUnknown;
     all_ascii_ = TriState::kUnknown;

@@ -54,6 +54,7 @@ void TableBuilder::SealBatch() {
   if (current_ == nullptr) return;
   current_->set_num_rows(current_rows_);
   current_->SetAllActive();
+  current_->ResolveMetadata();
   table_.AppendBatch(std::move(current_));
   current_ = nullptr;
   current_rows_ = 0;

@@ -10,7 +10,8 @@
 namespace photon {
 
 /// An in-memory table: a schema plus a sequence of dense (all-active)
-/// column batches. Used as scan input for micro-benchmarks ("we read from
+/// column batches whose metadata is resolved (ColumnBatch::ResolveMetadata),
+/// so scans can lend their vectors read-only. Used as scan input for micro-benchmarks ("we read from
 /// an in-memory table to isolate the effects of Photon's execution
 /// improvements", §6.1), as test fixtures, and as the materialized output
 /// of queries.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
 
 #include "common/rng.h"
 #include "exec/driver.h"
@@ -212,6 +213,73 @@ TEST(DriverAggregateTest, FailedMergeTaskLeaksNothing) {
   EXPECT_GT(mm.spill_count(), 0);
   EXPECT_TRUE(ObjectStore::Default().List("exec-test/").empty());
   EXPECT_EQ(mm.reserved(), 0);
+}
+
+/// Scans lend a table's vectors to every query that reads it, so a
+/// kernel's cached batch metadata must never land in the table. Each batch
+/// mixes ASCII and UTF-8 strings: an upper() over only the ASCII rows must
+/// not leave an all-ASCII verdict behind that sends a later full upper()
+/// down the ASCII kernel (which would turn "été" into "éTé").
+TEST(LentScanTest, FilteredUpperLeavesTableMetadataAlone) {
+  Schema schema(
+      {Field("id", DataType::Int64()), Field("s", DataType::String())});
+  TableBuilder builder(schema, 64);
+  constexpr int kRows = 4096;  // 64 batches -> 8 morsels
+  auto text = [](int i, bool upper) {
+    std::string base = i % 2 == 0 ? (upper ? "ABC" : "abc")
+                                  : (upper ? "ÉTÉ" : "été");
+    return base + std::to_string(i);
+  };
+  for (int i = 0; i < kRows; i++) {
+    builder.AppendRow({Value::Int64(i), Value::String(text(i, false))});
+  }
+  Table t = builder.Finish();
+  plan::PlanPtr scan = plan::Scan(&t);
+  ExprPtr id = plan::ColOf(scan, "id");
+  auto upper_of = [&](const plan::PlanPtr& child) {
+    return plan::Project(
+        child, {id, eb::Call("upper", {plan::ColOf(scan, "s")})}, {"id", "u"});
+  };
+  plan::PlanPtr ascii_only = upper_of(
+      plan::Filter(scan, eb::Eq(eb::Mod(id, eb::Lit(int64_t{2})),
+                                eb::Lit(int64_t{0}))));
+  plan::PlanPtr full = upper_of(scan);
+
+  auto check = [&](const Result<Table>& r, int expected_rows) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->num_rows(), expected_rows);
+    for (const std::vector<Value>& row : r->ToRows()) {
+      int i = static_cast<int>(row[0].i64());
+      ASSERT_EQ(row[1].str(), text(i, true)) << "row " << i;
+    }
+  };
+  for (int threads : {1, 8}) {
+    exec::Driver driver(threads);
+    check(driver.Run(ascii_only), kRows / 2);
+    check(driver.Run(full), kRows);
+  }
+
+  // Concurrent readers of one table: under TSan, any metadata write into
+  // a lent vector is a reported race.
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; r++) {
+    readers.emplace_back([&, r] {
+      exec::Driver driver(2);
+      for (int k = 0; k < 3; k++) {
+        if (r == 0) {
+          check(driver.Run(ascii_only), kRows / 2);
+        } else {
+          check(driver.Run(full), kRows);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+
+  for (int b = 0; b < t.num_batches(); b++) {
+    EXPECT_EQ(t.batch(b).column(1)->all_ascii(), TriState::kNo) << b;
+    EXPECT_EQ(t.batch(b).column(0)->has_nulls(), TriState::kNo) << b;
+  }
 }
 
 }  // namespace
