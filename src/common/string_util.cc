@@ -51,31 +51,6 @@ void AsciiToLower(const char* src, char* dst, int64_t len) {
   }
 }
 
-std::vector<std::string> SplitString(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (true) {
-    size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      break;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-  return out;
-}
-
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); i++) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() &&
          s.compare(0, prefix.size(), prefix) == 0;
@@ -117,19 +92,6 @@ bool LikeMatchImpl(const char* v, const char* vend, const char* p,
 bool SqlLikeMatch(std::string_view value, std::string_view pattern) {
   return LikeMatchImpl(value.data(), value.data() + value.size(),
                        pattern.data(), pattern.data() + pattern.size());
-}
-
-std::string FormatBytes(uint64_t bytes) {
-  static const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-  double v = static_cast<double>(bytes);
-  int unit = 0;
-  while (v >= 1024.0 && unit < 4) {
-    v /= 1024.0;
-    unit++;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1f %s", v, kUnits[unit]);
-  return buf;
 }
 
 }  // namespace photon

@@ -22,18 +22,11 @@ bool IsAsciiScalar(const char* data, int64_t len);
 void AsciiToUpper(const char* src, char* dst, int64_t len);
 void AsciiToLower(const char* src, char* dst, int64_t len);
 
-std::vector<std::string> SplitString(std::string_view s, char sep);
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep);
-
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// SQL LIKE pattern match with '%' and '_' wildcards (no escape support).
 bool SqlLikeMatch(std::string_view value, std::string_view pattern);
-
-/// Formats a byte count with binary units ("1.5 MiB").
-std::string FormatBytes(uint64_t bytes);
 
 }  // namespace photon
 

@@ -129,6 +129,9 @@ Result<Table> Driver::Run(const plan::PlanPtr& plan, ExecContext ctx,
     root = opt::Optimize(plan);
     ctx.optimizer = OptimizerPolicy::kOff;
   }
+  // Every plan carries only the columns it reads, optimized or not (in
+  // Photon, plans arrive already pruned by Catalyst, §5.1).
+  root = opt::PruneColumns(root);
   RunState state;
   state.ctx = ctx;
   state.stages = stages;

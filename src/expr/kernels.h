@@ -97,26 +97,6 @@ void BinaryKernel(const int32_t* PHOTON_RESTRICT pos_list, int num_rows,
   }
 }
 
-/// Generic unary kernel; same conventions as BinaryKernel.
-template <typename T, typename R, typename Op, bool kHasNulls,
-          bool kAllRowsActive>
-void UnaryKernel(const int32_t* PHOTON_RESTRICT pos_list, int num_rows,
-                 const T* PHOTON_RESTRICT in,
-                 const uint8_t* PHOTON_RESTRICT in_nulls,
-                 R* PHOTON_RESTRICT out,
-                 uint8_t* PHOTON_RESTRICT out_nulls) {
-  for (int i = 0; i < num_rows; i++) {
-    int row = kAllRowsActive ? i : pos_list[i];
-    if constexpr (kHasNulls) {
-      if (in_nulls[row]) {
-        out_nulls[row] = 1;
-        continue;
-      }
-    }
-    if (!Op::Apply(in[row], &out[row])) out_nulls[row] = 1;
-  }
-}
-
 /// Copies values and null bytes of `src` to `dst` at the given row indices
 /// (both vectors are batch-aligned). Strings are deep-copied into dst.
 void CopyValuesAtPositions(const ColumnVector& src, const int32_t* rows,

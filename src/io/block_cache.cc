@@ -162,25 +162,6 @@ void BlockCache::Unpin(const std::string& key, int32_t block) {
   it->second->pin_count--;
 }
 
-void BlockCache::Erase(const std::string& key, int32_t block) {
-  std::string mk = MapKey(key, block);
-  Shard& shard = ShardFor(mk);
-  int64_t freed = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.index.find(mk);
-    if (it == shard.index.end()) return;
-    freed = it->second->charge;
-    shard.bytes -= freed;
-    bytes_cached_.fetch_sub(freed, std::memory_order_relaxed);
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-  }
-  if (options_.memory_manager != nullptr) {
-    options_.memory_manager->Release(this, freed);
-  }
-}
-
 void BlockCache::Clear() {
   int64_t freed = 0;
   for (int s = 0; s < options_.num_shards; s++) {

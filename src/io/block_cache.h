@@ -79,8 +79,7 @@ class BlockCache : public MemoryConsumer {
   bool Pin(const std::string& key, int32_t block = kWholeObject);
   void Unpin(const std::string& key, int32_t block = kWholeObject);
 
-  /// Drops one entry / all entries, returning reserved memory.
-  void Erase(const std::string& key, int32_t block = kWholeObject);
+  /// Drops all entries, returning reserved memory.
   void Clear();
 
   /// MemoryConsumer: evicts cold blocks until `requested` bytes are freed

@@ -18,8 +18,10 @@ namespace photon {
 class Table;
 
 /// Whether the driver runs the cost-based optimizer (src/opt) over logical
-/// plans before stage planning. Off by default so hand-built plans execute
-/// exactly as written; the differ runs both settings as differential modes.
+/// plans before stage planning. Off by default so hand-built plans keep
+/// their join order and filter placement (the driver still prunes unused
+/// columns from every plan); the differ runs both settings as differential
+/// modes.
 enum class OptimizerPolicy : uint8_t { kOff, kOn };
 
 /// Shared per-task execution state.
@@ -46,9 +48,9 @@ struct ExecContext {
   /// ExprPolicy). Other values are used by the differ and benches;
   /// kTreeOnly also disables the fusion planner passes entirely.
   ExprPolicy expr_policy = ExprPolicy::kCompiledOnly;
-  /// Cost-based plan optimization (filter/projection pushdown, join
-  /// reordering, build-side selection). Applied by the Driver entry points,
-  /// so it covers hand-built plans, SQL, the query service, and benches.
+  /// Cost-based plan optimization (filter pushdown, semi-join sinking,
+  /// join reordering, build-side selection). Applied by Driver::Run, so
+  /// it covers hand-built plans, SQL, the query service, and benches.
   OptimizerPolicy optimizer = OptimizerPolicy::kOff;
 };
 

@@ -131,16 +131,6 @@ Result<ColumnBatch*> ShuffleReadOperator::GetNextImpl() {
   return nullptr;
 }
 
-int64_t ShuffleDataBytes(const std::string& shuffle_id) {
-  int64_t total = 0;
-  for (const std::string& key :
-       ObjectStore::Default().List("shuffle/" + shuffle_id + "/")) {
-    Result<std::string> blob = ObjectStore::Default().Get(key);
-    if (blob.ok()) total += static_cast<int64_t>(blob->size());
-  }
-  return total;
-}
-
 void DeleteShuffle(const std::string& shuffle_id) {
   ObjectStore::Default().DeletePrefix("shuffle/" + shuffle_id + "/");
 }

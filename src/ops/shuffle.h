@@ -88,8 +88,6 @@ class ShuffleReadOperator : public Operator {
   std::unique_ptr<ColumnBatch> current_;
 };
 
-/// Total bytes currently stored for a shuffle id (post-compression).
-int64_t ShuffleDataBytes(const std::string& shuffle_id);
 /// Removes all blocks of a shuffle id.
 void DeleteShuffle(const std::string& shuffle_id);
 

@@ -679,6 +679,39 @@ std::vector<int> IdentityMap(int w) {
   return m;
 }
 
+/// The demanded column indices; never empty (a zero-column result is not
+/// expressible, so column 0 stands in to keep the row count).
+std::vector<int> Retained(const std::vector<bool>& req) {
+  std::vector<int> retained;
+  for (int i = 0; i < static_cast<int>(req.size()); i++) {
+    if (req[i]) retained.push_back(i);
+  }
+  if (retained.empty()) retained.push_back(0);
+  return retained;
+}
+
+/// Keeps the `retained` columns of `node`, whose column for pre-pruning
+/// index i is `pos[i]`: `node` itself when that is all of its columns,
+/// else a trivial Project above it.
+Pruned KeepColumns(const PlanPtr& node, const std::vector<int>& retained,
+                   std::vector<int> pos) {
+  if (static_cast<int>(retained.size()) == node->output_schema.num_fields()) {
+    return {node, std::move(pos)};
+  }
+  std::vector<int> map(pos.size(), -1);
+  std::vector<ExprPtr> exprs;
+  std::vector<std::string> names;
+  for (size_t k = 0; k < retained.size(); k++) {
+    const Field& f = node->output_schema.field(pos[retained[k]]);
+    map[retained[k]] = static_cast<int>(k);
+    exprs.push_back(
+        std::make_shared<ColumnRefExpr>(pos[retained[k]], f.type, f.name));
+    names.push_back(f.name);
+  }
+  return {plan::Project(node, std::move(exprs), std::move(names)),
+          std::move(map)};
+}
+
 /// Adds `e`'s column references to `req`; false on an out-of-range ref.
 bool MarkRefs(const ExprPtr& e, std::vector<bool>* req) {
   if (e == nullptr) return true;
@@ -694,46 +727,22 @@ bool MarkRefs(const ExprPtr& e, std::vector<bool>* req) {
 /// join keys, group keys) survive. Demand originates at Projects and
 /// Aggregates that drop columns; the narrowing lands as smaller
 /// scan_columns on kDeltaScan leaves and as trivial Projects above
-/// in-memory kScan leaves, shrinking the rows that flow through hash
-/// builds, sorts, and spills. Structure-preserving otherwise: no Project
-/// is inserted anywhere but directly above a leaf, so Sort→Limit and
-/// other order-sensitive adjacencies stay intact.
+/// in-memory kScan leaves and above joins whose keys read columns nobody
+/// above them needs, shrinking the rows that flow through hash builds,
+/// sorts, and spills. Structure-preserving otherwise: no Project is
+/// inserted anywhere but directly above a leaf or a join, so Sort→Limit
+/// and other order-sensitive adjacencies stay intact.
 Pruned PruneTo(const PlanPtr& node, std::vector<bool> req) {
   int w = node->output_schema.num_fields();
   if (static_cast<int>(req.size()) != w) return PruneFail();
   switch (node->kind) {
-    case PlanKind::kScan: {
-      std::vector<int> retained;
-      for (int i = 0; i < w; i++) {
-        if (req[i]) retained.push_back(i);
-      }
-      // A zero-column scan is not expressible; keep one for row count.
-      if (retained.empty()) retained.push_back(0);
-      if (static_cast<int>(retained.size()) == w) {
-        return {node, IdentityMap(w)};
-      }
-      std::vector<int> map(w, -1);
-      std::vector<ExprPtr> exprs;
-      std::vector<std::string> names;
-      for (size_t k = 0; k < retained.size(); k++) {
-        const Field& f = node->output_schema.field(retained[k]);
-        map[retained[k]] = static_cast<int>(k);
-        exprs.push_back(
-            std::make_shared<ColumnRefExpr>(retained[k], f.type, f.name));
-        names.push_back(f.name);
-      }
-      return {plan::Project(node, std::move(exprs), std::move(names)),
-              std::move(map)};
-    }
+    case PlanKind::kScan:
+      return KeepColumns(node, Retained(req), IdentityMap(w));
     case PlanKind::kDeltaScan: {
       // The scan predicate is evaluated inside the scan, so its columns
       // must stay in the projection.
       if (!MarkRefs(node->scan_predicate, &req)) return PruneFail();
-      std::vector<int> retained;
-      for (int i = 0; i < w; i++) {
-        if (req[i]) retained.push_back(i);
-      }
-      if (retained.empty()) retained.push_back(0);
+      std::vector<int> retained = Retained(req);
       if (static_cast<int>(retained.size()) == w) {
         return {node, IdentityMap(w)};
       }
@@ -766,11 +775,7 @@ Pruned PruneTo(const PlanPtr& node, std::vector<bool> req) {
               std::move(child.map)};
     }
     case PlanKind::kProject: {
-      std::vector<int> retained;
-      for (int i = 0; i < w; i++) {
-        if (req[i]) retained.push_back(i);
-      }
-      if (retained.empty()) retained.push_back(0);
+      std::vector<int> retained = Retained(req);
       int cw = node->children[0]->output_schema.num_fields();
       std::vector<bool> creq(cw, false);
       for (int i : retained) {
@@ -842,8 +847,8 @@ Pruned PruneTo(const PlanPtr& node, std::vector<bool> req) {
                   node->join_type == JoinType::kLeftOuter;
       std::vector<bool> preq(lw, false);
       std::vector<bool> breq(rw, false);
-      for (int i = 0; i < w; i++) {
-        if (!req[i]) continue;
+      const std::vector<int> retained = Retained(req);
+      for (int i : retained) {
         if (i < lw) {
           preq[i] = true;
         } else if (wide && i - lw < rw) {
@@ -897,12 +902,13 @@ Pruned PruneTo(const PlanPtr& node, std::vector<bool> req) {
         residual = RemapColumns(node->residual, combined);
         if (residual == nullptr) return PruneFail();
       }
-      std::vector<int> map(w, -1);
-      for (int i = 0; i < w; i++) map[i] = combined[i];
-      return {plan::Join(probe.plan, build.plan, node->join_type,
-                         std::move(lkeys), std::move(rkeys),
-                         std::move(residual)),
-              std::move(map)};
+      // Columns only the keys and the residual read stop at the join, so
+      // builds and sorts above it materialize just the demanded ones.
+      combined.resize(w);
+      return KeepColumns(
+          plan::Join(probe.plan, build.plan, node->join_type,
+                     std::move(lkeys), std::move(rkeys), std::move(residual)),
+          retained, std::move(combined));
     }
     case PlanKind::kSort: {
       for (const SortKey& k : node->sort_keys) {
@@ -927,33 +933,30 @@ Pruned PruneTo(const PlanPtr& node, std::vector<bool> req) {
   return PruneFail();
 }
 
-/// Entry point: the root's full output is required, so pruning only
-/// triggers below Projects/Aggregates that drop columns. Falls back to
-/// the original plan if any subtree fails to rewrite.
-PlanPtr PruneColumns(const PlanPtr& node) {
-  int w = node->output_schema.num_fields();
-  Pruned out = PruneTo(node, std::vector<bool>(w, true));
-  if (out.plan == nullptr) return node;
-  // Full demand at the root must retain every column in place.
-  for (int i = 0; i < w; i++) {
-    if (out.map[i] != i) return node;
-  }
-  return out.plan;
-}
-
 }  // namespace
 
-plan::PlanPtr Optimize(const plan::PlanPtr& p, const OptimizerOptions& options) {
+plan::PlanPtr Optimize(const plan::PlanPtr& p) {
   if (p == nullptr) return p;
-  PlanPtr out = p;
-  if (options.filter_pushdown) out = PushDown(out, {});
-  if (options.semi_join_reduction) out = SinkSemiPass(out);
-  if (options.join_reorder) out = ReorderPass(out);
+  PlanPtr out = PushDown(p, {});
+  out = SinkSemiPass(out);
+  out = ReorderPass(out);
   // Reordering re-surfaces Filters (leaf conjuncts, late-covered
   // residuals); a second pushdown sinks them into the reshaped tree.
-  if (options.filter_pushdown) out = PushDown(out, {});
-  if (options.prune_scan_columns) out = PruneColumns(out);
-  return out;
+  return PushDown(out, {});
+}
+
+/// The root's full output is required, so pruning only triggers below
+/// Projects/Aggregates that drop columns.
+plan::PlanPtr PruneColumns(const plan::PlanPtr& p) {
+  if (p == nullptr) return p;
+  int w = p->output_schema.num_fields();
+  Pruned out = PruneTo(p, std::vector<bool>(w, true));
+  if (out.plan == nullptr) return p;
+  // Full demand at the root must retain every column in place.
+  for (int i = 0; i < w; i++) {
+    if (out.map[i] != i) return p;
+  }
+  return out.plan;
 }
 
 }  // namespace opt

@@ -6,15 +6,6 @@
 namespace photon {
 namespace opt {
 
-/// Which rewrite families run. All on by default; benches and tests toggle
-/// individual rules to isolate their effect.
-struct OptimizerOptions {
-  bool filter_pushdown = true;
-  bool semi_join_reduction = true;
-  bool join_reorder = true;
-  bool prune_scan_columns = true;
-};
-
 /// Rewrites a logical plan into a semantically identical, cheaper one:
 ///   1. filter pushdown — conjuncts sink through projects, aggregates,
 ///      joins, and sorts, merging into DeltaScan predicates where they feed
@@ -24,8 +15,9 @@ struct OptimizerOptions {
 ///   3. cost-based join reordering — maximal inner-join clusters are
 ///      flattened to a conjunct graph and recomposed greedily by estimated
 ///      cardinality (src/opt/stats), picking build/probe sides so the
-///      smaller input builds the hash table;
-///   4. scan column pruning — projections narrow DeltaScan column sets.
+///      smaller input builds the hash table.
+/// Column pruning is not a rule here: Driver::Run applies PruneColumns to
+/// every plan, optimized or not.
 ///
 /// Pure and deterministic: the input plan is never mutated (rewrites build
 /// new nodes; untouched subtrees are shared), and equal inputs produce
@@ -35,8 +27,18 @@ struct OptimizerOptions {
 /// Every rule degrades to "keep the original shape" when a precondition
 /// fails (unknown expression kind, non-equi edge, disconnected join graph),
 /// so Optimize never errors.
-plan::PlanPtr Optimize(const plan::PlanPtr& p,
-                       const OptimizerOptions& options = {});
+plan::PlanPtr Optimize(const plan::PlanPtr& p);
+
+/// Required-columns analysis: narrows every subtree to the columns its
+/// ancestors use (plus its own predicates, join keys and group keys). The
+/// narrowing lands as smaller scan_columns on kDeltaScan leaves and as
+/// trivial Projects above in-memory kScan leaves and above joins (free:
+/// the scan lends its vectors, and fusion composes a Project into its
+/// chain), so joins, aggregates and sorts carry only the columns the plan
+/// reads. The root's output is
+/// unchanged; a plan with a subtree that cannot be rewritten is returned
+/// as is. Pure, like Optimize.
+plan::PlanPtr PruneColumns(const plan::PlanPtr& p);
 
 }  // namespace opt
 }  // namespace photon

@@ -25,22 +25,6 @@ AdmissionOptions MakeAdmissionOptions(const ServiceOptions& o) {
 
 }  // namespace
 
-const char* SessionStateName(SessionState s) {
-  switch (s) {
-    case SessionState::kQueued:
-      return "queued";
-    case SessionState::kRunning:
-      return "running";
-    case SessionState::kSucceeded:
-      return "succeeded";
-    case SessionState::kFailed:
-      return "failed";
-    case SessionState::kCancelled:
-      return "cancelled";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------------
 // QuerySession
 // ---------------------------------------------------------------------------

@@ -91,8 +91,6 @@ enum class SessionState {
   kCancelled,  // Cancel() or deadline, before or during execution
 };
 
-const char* SessionStateName(SessionState s);
-
 /// One submitted query: handle to its state, cancellation token, result
 /// and profile. Created only by QueryService::Submit(); thread-safe.
 class QuerySession {

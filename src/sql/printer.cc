@@ -681,11 +681,6 @@ Result<std::string> PlanToSql(const plan::PlanPtr& plan,
   return printer.Print(*plan);
 }
 
-std::string ExprToSql(const Expr& expr,
-                      const std::vector<std::string>& col_names) {
-  return Render(expr, col_names, kOr);
-}
-
 std::string PlanFingerprint(const plan::PlanPtr& plan) {
   PHOTON_CHECK(plan != nullptr);
   return Fingerprint(*plan);

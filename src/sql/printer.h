@@ -20,12 +20,6 @@ namespace sql {
 Result<std::string> PlanToSql(const plan::PlanPtr& plan,
                               const Catalog& catalog);
 
-/// Renders one expression as SQL. `col_names[i]` is the name to print for
-/// ColumnRefExpr index i (positional aliases like "c3"). Parentheses are
-/// emitted from operator precedence so the parse tree is unambiguous.
-std::string ExprToSql(const Expr& expr,
-                      const std::vector<std::string>& col_names);
-
 /// Canonical structural fingerprint of a plan, insensitive to the one
 /// rewrite the SQL round trip may apply: a hash-join key pair and a
 /// residual equality conjunct are interchangeable forms of the same join

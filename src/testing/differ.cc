@@ -59,15 +59,6 @@ CanonicalResult RenderRows(const Table& table) {
   return out;
 }
 
-/// The in-memory tables `node` scans.
-void CollectScanTables(const plan::PlanNode& node,
-                       std::set<const Table*>* out) {
-  if (node.kind == plan::PlanKind::kScan) out->insert(node.table);
-  for (const plan::PlanPtr& child : node.children) {
-    CollectScanTables(*child, out);
-  }
-}
-
 /// An input table as a run finds it: its rows in stored order, then one
 /// row of per-batch metadata. Photon's scans lend the table's vectors, so
 /// no run may change either.
@@ -83,6 +74,17 @@ CanonicalResult InputFingerprint(const Table& table) {
   }
   out.push_back(std::move(meta));
   return out;
+}
+
+/// Fingerprints every in-memory table `node` scans.
+void FingerprintInputs(const plan::PlanNode& node,
+                       std::map<const Table*, CanonicalResult>* out) {
+  if (node.kind == plan::PlanKind::kScan) {
+    (*out)[node.table] = InputFingerprint(*node.table);
+  }
+  for (const plan::PlanPtr& child : node.children) {
+    FingerprintInputs(*child, out);
+  }
 }
 
 }  // namespace
@@ -213,13 +215,11 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
                             const DifferentialOptions& opts) {
   // Lent-vector contract: every run leaves its input tables as it found
   // them, values and metadata alike.
-  std::set<const Table*> inputs;
-  CollectScanTables(*p, &inputs);
-  std::map<const Table*, CanonicalResult> before;
-  for (const Table* t : inputs) before[t] = InputFingerprint(*t);
+  std::map<const Table*, CanonicalResult> inputs;
+  FingerprintInputs(*p, &inputs);
   auto inputs_changed = [&]() -> std::string {
-    for (const Table* t : inputs) {
-      std::string diff = DiffCanonical(before[t], InputFingerprint(*t),
+    for (const auto& [table, before] : inputs) {
+      std::string diff = DiffCanonical(before, InputFingerprint(*table),
                                        "input/before", "input/after");
       if (!diff.empty()) {
         return "a run wrote into an input table: " + diff + "\nplan:\n" +
@@ -363,8 +363,7 @@ std::string RunDifferential(const plan::PlanPtr& p, exec::Driver* driver,
   }
 
   // Mode 8: cost-based optimizer on. The optimizer rewrites the plan
-  // (pushdown, semi-join sinking, join reordering, scan pruning) before
-  // execution; the rewritten plan must still produce the oracle's rows, on
+  // (pushdown, semi-join sinking, join reordering) before execution; the rewritten plan must still produce the oracle's rows, on
   // one worker and morsel-parallel.
   {
     ExecContext ctx;

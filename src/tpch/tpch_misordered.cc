@@ -39,9 +39,9 @@ SortKey Desc(ExprPtr e) { return SortKey{std::move(e), false, true}; }
 // hand-ordered tpch_queries.cc version — only the join tree underneath is
 // pessimized — so recovered results are directly checksum-comparable.
 // Inner-join build sides deliberately scan full-width tables (comment
-// strings included): a naive planner would not prune them either, and the
-// wide high-cardinality hash builds are most of the penalty the optimizer
-// recovers.
+// strings included). Driver::Run prunes every plan, so those columns never
+// reach a hash build; the penalty the optimizer recovers is the join order
+// itself: high-cardinality builds and selective predicates applied last.
 
 /// Q3: orders⋈lineitem with unfiltered lineitem as build, both date
 /// filters above the join, BUILDING-segment semi-join at the very top.

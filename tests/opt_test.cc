@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "exec/compactor.h"
 #include "exec/driver.h"
+#include "memory/memory_manager.h"
 #include "expr/builder.h"
 #include "opt/optimizer.h"
 #include "opt/stats.h"
@@ -140,16 +141,25 @@ TEST(OptimizerTest, PureAndDeterministic) {
   EXPECT_NE(a->ToString(), before) << "expected the pessimal Q9 to change";
 }
 
-TEST(OptimizerTest, PolicyOffLeavesPlanAlone) {
-  Result<plan::PlanPtr> mis = tpch::TpchMisorderedQuery(3, Data());
-  ASSERT_TRUE(mis.ok());
-  opt::OptimizerOptions options;
-  options.filter_pushdown = false;
-  options.semi_join_reduction = false;
-  options.join_reorder = false;
-  options.prune_scan_columns = false;
-  plan::PlanPtr out = opt::Optimize(*mis, options);
-  EXPECT_EQ((*mis)->ToString(), out->ToString());
+/// A join whose parent demands no column at all (count(*) above it) still
+/// keeps one column to carry its row count, and that column must exist in
+/// the pruned probe even when it is not a join key.
+TEST(PruneColumnsTest, CountStarOverJoinKeepsRowCount) {
+  const tpch::TpchData& d = Data();
+  plan::PlanPtr nation = plan::Scan(&d.nation);
+  plan::PlanPtr region = plan::Scan(&d.region);
+  plan::PlanPtr join = plan::Join(nation, region, JoinType::kInner,
+                                  {plan::ColOf(nation, "n_regionkey")},
+                                  {plan::ColOf(region, "r_regionkey")});
+  plan::PlanPtr p = plan::Aggregate(
+      join, {}, {}, {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
+  ASSERT_NE(opt::PruneColumns(p)->ToString(), p->ToString())
+      << "expected the join's inputs to narrow";
+
+  exec::Driver single(1);
+  Result<Table> out = single.Run(p);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->GetRow(0)[0].i64(), d.nation.num_rows());
 }
 
 // ---------------------------------------------------------------------------
@@ -209,7 +219,10 @@ TEST(OptimizerTest, PushdownMergesIntoDeltaScanPredicate) {
   EXPECT_EQ(testing::Canonicalize(*off), testing::Canonicalize(*on));
 }
 
-TEST(OptimizerTest, ProjectionNarrowsDeltaScanColumns) {
+/// Driver::Run prunes every plan, the optimizer off included: a hand-built
+/// DeltaScan→Sort→Project decodes and sorts only the projected column, so
+/// its sort reserves exactly what the plan narrowed by hand reserves.
+TEST(PruneColumnsTest, DriverNarrowsHandBuiltDeltaScan) {
   ObjectStore store;
   testing::DataGen gen(7);
   Schema schema = gen.RandomSchema("t_", 5, 5);
@@ -217,26 +230,55 @@ TEST(OptimizerTest, ProjectionNarrowsDeltaScanColumns) {
   auto snapshot = gen.WriteDelta(&store, "/opt/prune", table);
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
 
-  plan::PlanPtr scan = plan::DeltaScan(&store, *snapshot);
-  plan::PlanPtr p = plan::Project(
-      scan, {eb::Col(1, scan->output_schema.field(1).type)}, {"only"});
+  const DataType type = schema.field(1).type;
+  auto sorted_column = [&](plan::PlanPtr scan, int col) {
+    return plan::Project(
+        plan::Sort(scan, {SortKey{eb::Col(col, type), true, false}}),
+        {eb::Col(col, type)}, {"only"});
+  };
+  plan::PlanPtr wide = plan::DeltaScan(&store, *snapshot);
+  plan::PlanPtr hand = sorted_column(wide, 1);
+  plan::PlanPtr narrowed_by_hand =
+      sorted_column(plan::DeltaScan(&store, *snapshot, {1}), 0);
 
-  plan::PlanPtr optimized = opt::Optimize(p);
-  const plan::PlanNode* node = optimized.get();
+  plan::PlanPtr pruned = opt::PruneColumns(hand);
+  const plan::PlanNode* node = pruned.get();
   while (node->kind != plan::PlanKind::kDeltaScan) {
     ASSERT_FALSE(node->children.empty());
     node = node->children[0].get();
   }
   EXPECT_EQ(node->scan_columns, std::vector<int>{1})
       << "scan not narrowed:\n"
-      << optimized->ToString();
+      << pruned->ToString();
 
+  // The sort reserves per row for every column it stores.
   exec::Driver single(1);
-  Result<Table> off = single.Run(p);
-  ASSERT_TRUE(off.ok());
-  Result<Table> on = single.Run(optimized);
-  ASSERT_TRUE(on.ok());
-  EXPECT_EQ(testing::Canonicalize(*off), testing::Canonicalize(*on));
+  auto sort_reservation = [&](const plan::PlanPtr& plan, Table* out) {
+    MemoryManager mm(int64_t{1} << 30);
+    ExecContext ctx;
+    ctx.memory_manager = &mm;
+    std::vector<exec::StageInfo> stages;
+    Result<Table> t = single.Run(plan, ctx, &stages);
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    int64_t peak = 0;
+    for (const exec::StageInfo& stage : stages) {
+      peak = std::max(peak, stage.m[obs::Metric::kPeakReservedBytes]);
+    }
+    if (t.ok()) *out = std::move(*t);
+    return peak;
+  };
+  Table hand_rows(hand->output_schema), narrowed_rows(hand->output_schema),
+      wide_rows(schema);
+  const int64_t hand_bytes = sort_reservation(hand, &hand_rows);
+  const int64_t narrowed_bytes =
+      sort_reservation(narrowed_by_hand, &narrowed_rows);
+  const int64_t wide_bytes = sort_reservation(
+      plan::Sort(wide, {SortKey{eb::Col(1, type), true, false}}), &wide_rows);
+  EXPECT_GT(narrowed_bytes, 0);
+  EXPECT_EQ(hand_bytes, narrowed_bytes);
+  EXPECT_LT(hand_bytes, wide_bytes);
+  EXPECT_EQ(testing::Canonicalize(hand_rows),
+            testing::Canonicalize(narrowed_rows));
 }
 
 // ---------------------------------------------------------------------------
