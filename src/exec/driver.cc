@@ -90,6 +90,10 @@ struct Driver::StagedFragment {
   std::unique_ptr<Table> staged;        // owns a materialized kStage input
   std::vector<std::string> files;       // kDeltaFiles leaf, post-pruning
   int64_t files_pruned = 0;
+  /// The kDeltaFiles leaf's scan predicate, compiled once here and run by
+  /// every task's FileScanOperator; null without a predicate or under the
+  /// tree tier.
+  std::shared_ptr<const FusedUnit> scan_unit;
 
   /// One physical operator per group: a [begin, end) root-first range of
   /// cut.nodes. `unit` non-null = the range executes as one
@@ -257,6 +261,14 @@ Result<Driver::StagedFragment> Driver::PrepareFragment(
                           leaf->scan_predicate, projected, &frag.files_pruned);
       frag.units = static_cast<int>(frag.files.size());
       frag.units_per_morsel = kFilesPerMorsel;
+      if (leaf->scan_predicate != nullptr &&
+          state->ctx.expr_policy != ExprPolicy::kTreeOnly) {
+        FusedStage filter;
+        filter.is_filter = true;
+        filter.predicate = leaf->scan_predicate;
+        PHOTON_ASSIGN_OR_RETURN(frag.scan_unit,
+                                FusedUnit::Compile({filter}, projected));
+      }
       if (profile != nullptr && frag.files_pruned > 0) {
         // Pruning happens once at plan time, not in any task.
         profile->NodeSet(frag.leaf_node_id)
@@ -294,7 +306,9 @@ Result<OperatorPtr> Driver::InstantiateFragment(const StagedFragment& frag,
     op = OperatorPtr(new FileScanOperator(leaf->store, std::move(subset),
                                           leaf->snapshot.schema,
                                           leaf->scan_columns,
-                                          leaf->scan_predicate, io));
+                                          leaf->scan_predicate, io,
+                                          frag.scan_unit,
+                                          task_ctx.expr_policy));
   } else {
     op = OperatorPtr(new InMemoryScanOperator(frag.source_table, morsel.begin,
                                               morsel.end));

@@ -14,13 +14,21 @@ FileScanOperator::FileScanOperator(ObjectStore* store,
                                    std::vector<std::string> file_keys,
                                    Schema file_schema,
                                    std::vector<int> columns,
-                                   ExprPtr predicate, io::IoOptions io)
+                                   ExprPtr predicate, io::IoOptions io,
+                                   std::shared_ptr<const FusedUnit>
+                                       predicate_unit,
+                                   ExprPolicy policy)
     : Operator(Project(file_schema, columns)),
       file_keys_(std::move(file_keys)),
       file_schema_(std::move(file_schema)),
       columns_(std::move(columns)),
       predicate_(std::move(predicate)),
       io_(std::make_unique<io::CachingStore>(store, io)) {
+  if (predicate_unit != nullptr) {
+    PHOTON_CHECK(predicate_ != nullptr);
+    predicate_state_ =
+        std::make_unique<FusedUnitState>(std::move(predicate_unit), policy);
+  }
   if (io.prefetch_pool != nullptr) {
     io::Prefetcher::Options popts;
     popts.depth = io.prefetch_depth;
@@ -48,6 +56,14 @@ void FileScanOperator::PublishMetricsImpl() {
   stats_.Add(obs::Metric::kCacheHits, io_->stats().hits);
   if (prefetcher_ != nullptr) {
     stats_.Add(obs::Metric::kPrefetchWaitNs, prefetcher_->stats().wait_ns);
+  }
+  if (predicate_state_ != nullptr) {
+    stats_.Add(obs::Metric::kExprFusedBatches,
+               predicate_state_->fused_batches());
+    stats_.Add(obs::Metric::kExprCompiledBatches,
+               predicate_state_->compiled_batches());
+    stats_.Add(obs::Metric::kScratchPoolHits, ctx_.pool_hits());
+    stats_.Add(obs::Metric::kScratchPoolMisses, ctx_.pool_misses());
   }
 }
 
@@ -94,8 +110,10 @@ Result<ColumnBatch*> FileScanOperator::GetNextImpl() {
     PHOTON_ASSIGN_OR_RETURN(current_, reader_->ReadRowGroup(rg, columns_));
     if (predicate_ != nullptr) {
       ctx_.ResetPerBatch();
-      PHOTON_ASSIGN_OR_RETURN(int active,
-                              FilterBatch(*predicate_, current_.get(), &ctx_));
+      PHOTON_ASSIGN_OR_RETURN(
+          int active, predicate_state_ != nullptr
+                          ? predicate_state_->Eval(current_.get(), &ctx_)
+                          : FilterBatch(*predicate_, current_.get(), &ctx_));
       if (active == 0) continue;
     }
     if (current_->num_active() == 0) continue;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "expr/expr.h"
+#include "expr/fusion.h"
 #include "io/caching_store.h"
 #include "io/prefetcher.h"
 #include "ops/operator.h"
@@ -17,7 +18,11 @@ namespace photon {
 /// Scans columnar files from the object store, one row group per batch,
 /// with column projection and min/max predicate skipping at both file and
 /// row-group granularity. An optional residual predicate is applied to
-/// surviving batches (scan-level filtering).
+/// surviving batches (scan-level filtering): through `predicate_unit`, the
+/// predicate compiled once per plan into a FusedUnit and run by this
+/// scan's own FusedUnitState on the tier `policy` picks, or — when no unit
+/// is given (the tree tier, the baseline's and the converter's scans) —
+/// one vectorized kernel per expression node through FilterBatch.
 ///
 /// IO path (src/io): file bytes are fetched through a CachingStore, so a
 /// shared BlockCache turns repeated (warm) scans into memory reads, and —
@@ -30,7 +35,9 @@ class FileScanOperator : public Operator {
   /// `columns` selects fields by index into the file schema (empty = all).
   FileScanOperator(ObjectStore* store, std::vector<std::string> file_keys,
                    Schema file_schema, std::vector<int> columns = {},
-                   ExprPtr predicate = nullptr, io::IoOptions io = {});
+                   ExprPtr predicate = nullptr, io::IoOptions io = {},
+                   std::shared_ptr<const FusedUnit> predicate_unit = nullptr,
+                   ExprPolicy policy = ExprPolicy::kCompiledOnly);
 
   Status Open() override;
   Result<ColumnBatch*> GetNextImpl() override;
@@ -40,19 +47,19 @@ class FileScanOperator : public Operator {
   static Schema Project(const Schema& schema, const std::vector<int>& cols);
 
  protected:
-  /// Folds cache/prefetch state into the metric set (kCacheHits,
-  /// kPrefetchWaitNs); bytes/files/row-group counters are recorded
+  /// Folds cache/prefetch and predicate-tier state into the metric set
+  /// (kCacheHits, kPrefetchWaitNs, kExpr*Batches, kScratchPool*);
+  /// bytes/files/row-group counters are recorded
   /// directly in GetNextImpl. All scan IO stats live in op_metrics() —
   /// there are no special-cased accessors.
   void PublishMetricsImpl() override;
 
  private:
-  /// Remaps a predicate over the file schema to the projected schema, or
-  /// nullptr when the predicate references unprojected columns.
   std::vector<std::string> file_keys_;
   Schema file_schema_;
   std::vector<int> columns_;
   ExprPtr predicate_;
+  std::unique_ptr<FusedUnitState> predicate_state_;  // null = tree tier
   std::unique_ptr<io::CachingStore> io_;
   std::unique_ptr<io::Prefetcher> prefetcher_;
 

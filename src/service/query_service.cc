@@ -1,5 +1,8 @@
 #include "service/query_service.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/macros.h"
 #include "exec/driver.h"
 #include "ops/operator.h"
@@ -118,15 +121,35 @@ std::shared_ptr<QuerySession> QueryService::Launch(plan::PlanPtr plan,
     session->control_.SetDeadlineAfterMs(session->options_.deadline_ms);
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
+  // The thread borrows the session: sessions_ keeps a reference until the
+  // thread is joined, so the last reference is never dropped (and
+  // ~QuerySession never joins) on the session's own thread.
+  QuerySession* raw = session.get();
+  {
+    std::lock_guard<std::mutex> lock(raw->join_mu_);
+    raw->thread_ = std::thread([this, raw] {
+      RunSession(raw);
+      raw->exited_.store(true, std::memory_order_release);
+    });
+  }
+  std::vector<std::shared_ptr<QuerySession>> finished;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    auto live = std::partition(
+        sessions_.begin(), sessions_.end(), [](const auto& s) {
+          return !s->exited_.load(std::memory_order_acquire);
+        });
+    finished.assign(std::make_move_iterator(live),
+                    std::make_move_iterator(sessions_.end()));
+    sessions_.erase(live, sessions_.end());
     sessions_.push_back(session);
   }
-  session->thread_ = std::thread([this, session] { RunSession(session); });
+  // Join before `finished` drops the service's references.
+  for (const auto& s : finished) s->JoinThread();
   return session;
 }
 
-void QueryService::RunSession(const std::shared_ptr<QuerySession>& session) {
+void QueryService::RunSession(QuerySession* session) {
   // ---- Admission (kQueued) -------------------------------------------
   Status admitted = admission_.Admit(session->options_.memory_bytes,
                                      session->options_.priority,
@@ -190,13 +213,24 @@ void QueryService::RunSession(const std::shared_ptr<QuerySession>& session) {
 
 void QueryService::Drain() {
   // Snapshot under the lock, join outside it (Submit may race with Drain;
-  // sessions appended after the snapshot are the caller's to wait on).
+  // sessions appended after the snapshot are the caller's to wait on),
+  // then release the joined sessions. A concurrent Launch may already
+  // have reaped some of them; only the ones still retained are erased.
   std::vector<std::shared_ptr<QuerySession>> sessions;
   {
     std::lock_guard<std::mutex> lock(mu_);
     sessions = sessions_;
   }
   for (auto& s : sessions) s->JoinThread();
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(sessions_, [](const auto& s) {
+    return s->exited_.load(std::memory_order_acquire);
+  });
+}
+
+size_t QueryService::retained_sessions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sessions_.size();
 }
 
 QueryService::Stats QueryService::stats() const {

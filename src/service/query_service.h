@@ -152,6 +152,9 @@ class QuerySession {
 
   std::mutex join_mu_;
   std::thread thread_;
+  /// Set by the session thread after RunSession returns: the thread only
+  /// has to exit, so the service may join it and release the session.
+  std::atomic<bool> exited_{false};
 };
 
 /// Multi-tenant query service: N concurrent sessions over one worker
@@ -180,8 +183,11 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// Submits a query; never blocks on admission (that happens on the
-  /// session's own control thread). The returned session is also retained
-  /// by the service until destruction.
+  /// session's own control thread). The service retains the session until
+  /// its thread has exited: each Launch (Submit/SubmitWrite) joins and
+  /// releases the sessions whose RunSession has returned, and Drain and
+  /// the destructor join and release the rest. A finished session's
+  /// result and profile then live only as long as the caller's handle.
   std::shared_ptr<QuerySession> Submit(plan::PlanPtr plan,
                                        SessionOptions options = {});
 
@@ -194,8 +200,13 @@ class QueryService {
   std::shared_ptr<QuerySession> SubmitWrite(WriteFn fn,
                                             SessionOptions options = {});
 
-  /// Blocks until every session submitted so far is terminal.
+  /// Blocks until every session submitted so far is terminal, then
+  /// releases the service's references to them.
   void Drain();
+
+  /// Sessions the service still holds: running ones, plus finished ones
+  /// the next Launch or Drain has not yet joined.
+  size_t retained_sessions() const;
 
   /// Service-level counters (terminal-state totals are post-Drain exact).
   struct Stats {
@@ -215,7 +226,7 @@ class QueryService {
  private:
   std::shared_ptr<QuerySession> Launch(plan::PlanPtr plan, WriteFn write_fn,
                                        SessionOptions options);
-  void RunSession(const std::shared_ptr<QuerySession>& session);
+  void RunSession(QuerySession* session);
 
   const ServiceOptions options_;
   exec::TaskScheduler scheduler_;

@@ -1,5 +1,7 @@
 #include "storage/bitpack.h"
 
+#include <cstring>
+
 #include "common/macros.h"
 
 namespace photon {
@@ -33,9 +35,14 @@ void BitPack(const uint32_t* values, int n, int bit_width,
 
 Status BitUnpack(BinaryReader* in, int n, int bit_width, uint32_t* out) {
   PHOTON_CHECK(bit_width >= 1 && bit_width <= 32);
+  // One bounds check for the whole packed run, then a word-at-a-time loop
+  // over the span with no per-word Status.
+  const int64_t words = (static_cast<int64_t>(n) * bit_width + 63) / 64;
+  const uint8_t* span = nullptr;
+  PHOTON_RETURN_NOT_OK(in->ReadSpan(static_cast<size_t>(words) * 8, &span));
+  const uint64_t mask = (1ULL << bit_width) - 1;
   uint64_t word = 0;
   int bits_in_word = 0;
-  uint64_t mask = bit_width == 64 ? ~0ULL : ((1ULL << bit_width) - 1);
   for (int i = 0; i < n; i++) {
     if (bits_in_word >= bit_width) {
       out[i] = static_cast<uint32_t>(word & mask);
@@ -43,10 +50,11 @@ Status BitUnpack(BinaryReader* in, int n, int bit_width, uint32_t* out) {
       bits_in_word -= bit_width;
       continue;
     }
-    uint64_t next = 0;
-    PHOTON_RETURN_NOT_OK(in->ReadU64(&next));
-    uint64_t value = word | (next << bits_in_word);
-    out[i] = static_cast<uint32_t>(value & mask);
+    uint64_t next;
+    std::memcpy(&next, span, 8);
+    span += 8;
+    // bits_in_word < bit_width <= 32, so neither shift reaches 64.
+    out[i] = static_cast<uint32_t>((word | (next << bits_in_word)) & mask);
     int consumed_from_next = bit_width - bits_in_word;
     word = next >> consumed_from_next;
     bits_in_word = 64 - consumed_from_next;

@@ -111,37 +111,91 @@ Status ReadLength(const char*& p, const char* end, size_t base_len,
   return Status::OK();
 }
 
+// The decoder writes through raw pointers in whole 8- or 16-byte steps, so
+// the output is sized once with this much slack past the declared size; a
+// step never writes more than 15 bytes past the end of its sequence.
+constexpr size_t kWildSlack = 32;
+
+/// Copies `len` bytes from `src` to `dst` in kStep-byte steps, writing up
+/// to kStep - 1 bytes past `dst + len` and reading as far past `src + len`.
+/// The two ranges must be at least kStep bytes apart (or in different
+/// buffers), so no step's memcpy overlaps.
+template <size_t kStep>
+PHOTON_ALWAYS_INLINE void WildCopy(char* dst, const char* src, size_t len) {
+  for (size_t i = 0; i < len; i += kStep) std::memcpy(dst + i, src + i, kStep);
+}
+
+/// Match with offset < 8 (the null-byte runs are offset 1): the output is
+/// the `offset`-byte period at `op - offset` repeated. One 16-byte pattern
+/// of whole periods is built on the stack and stored in steps of the
+/// largest multiple of `offset` that fits in 16 bytes, writing up to 15
+/// bytes past `op + len`.
+PHOTON_ALWAYS_INLINE void ExpandPattern(char* op, size_t offset, size_t len) {
+  char pattern[16];
+  const char* period = op - offset;
+  for (size_t j = 0; j < 16; j++) pattern[j] = period[j % offset];
+  const size_t step = 16 - 16 % offset;
+  for (size_t i = 0; i < len; i += step) std::memcpy(op + i, pattern, 16);
+}
+
 Status LzDecompress(std::string_view payload, size_t expected_size,
                     std::string* out) {
-  out->clear();
-  out->reserve(expected_size);
+  // One payload byte decodes to at most 255 output bytes (a 255 length
+  // byte); a larger declared size can never match, so reject it before
+  // sizing the output by it.
+  if (expected_size / 255 > payload.size()) {
+    return Status::IoError("lz: size mismatch");
+  }
+  out->resize(expected_size + kWildSlack);
+  char* const base = out->data();
+  char* const oend = base + expected_size;
+  char* op = base;
   const char* p = payload.data();
   const char* end = p + payload.size();
   while (p < end) {
     uint8_t token = static_cast<uint8_t>(*p++);
     size_t lit_len;
     PHOTON_RETURN_NOT_OK(ReadLength(p, end, token >> 4, &lit_len));
-    if (p + lit_len > end) return Status::IoError("lz: truncated literals");
-    out->append(p, lit_len);
+    if (lit_len > static_cast<size_t>(end - p)) {
+      return Status::IoError("lz: truncated literals");
+    }
+    if (lit_len > static_cast<size_t>(oend - op)) {
+      return Status::IoError("lz: literals overrun the declared size");
+    }
+    if (lit_len + 15 <= static_cast<size_t>(end - p)) {
+      WildCopy<16>(op, p, lit_len);
+    } else {
+      std::memcpy(op, p, lit_len);  // the wild read would leave the payload
+    }
+    op += lit_len;
     p += lit_len;
-    if (p + 2 > end) return Status::IoError("lz: truncated offset");
-    uint16_t offset = static_cast<uint8_t>(p[0]) |
-                      (static_cast<uint16_t>(static_cast<uint8_t>(p[1])) << 8);
+    if (end - p < 2) return Status::IoError("lz: truncated offset");
+    size_t offset = static_cast<uint8_t>(p[0]) |
+                    (static_cast<size_t>(static_cast<uint8_t>(p[1])) << 8);
     p += 2;
     if (offset == 0) break;  // end marker
     size_t match_len;
     PHOTON_RETURN_NOT_OK(ReadLength(p, end, token & 0xF, &match_len));
     match_len += kMinMatch;
-    if (offset > out->size()) return Status::IoError("lz: bad offset");
-    size_t match_pos = out->size() - offset;
-    // Byte-by-byte: overlapping matches (RLE) are valid.
-    for (size_t i = 0; i < match_len; i++) {
-      out->push_back((*out)[match_pos + i]);
+    if (offset > static_cast<size_t>(op - base)) {
+      return Status::IoError("lz: bad offset");
     }
+    if (match_len > static_cast<size_t>(oend - op)) {
+      return Status::IoError("lz: match overruns the declared size");
+    }
+    // Overlapping matches (offset < length) are valid and repeat the
+    // period; each step below reads only bytes already final.
+    if (offset >= 16) {
+      WildCopy<16>(op, op - offset, match_len);
+    } else if (offset >= 8) {
+      WildCopy<8>(op, op - offset, match_len);
+    } else {
+      ExpandPattern(op, offset, match_len);
+    }
+    op += match_len;
   }
-  if (out->size() != expected_size) {
-    return Status::IoError("lz: size mismatch");
-  }
+  if (op != oend) return Status::IoError("lz: size mismatch");
+  out->resize(expected_size);
   return Status::OK();
 }
 

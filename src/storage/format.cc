@@ -519,6 +519,103 @@ Result<std::string> FileWriter::Finish() {
 // Reader
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// out[i] = dict[min(indices[i], zero_slot)] for kWidth-byte values: one
+/// loop per byte width. Each value moves as one fixed-size memcpy, so a
+/// 16-byte decimal or string ref travels whole (a padded struct would drop
+/// the high bytes of a negative decimal) and no value is read through a
+/// pointer of another type. Slot `zero_slot` (= the dictionary size) holds
+/// zeros, so a NULL row whose index is out of range reads zero, not past
+/// the end.
+template <size_t kWidth>
+void GatherDictionary(const uint8_t* PHOTON_RESTRICT dict,
+                      const uint32_t* PHOTON_RESTRICT indices,
+                      uint32_t zero_slot, int n, uint8_t* PHOTON_RESTRICT out) {
+  for (int i = 0; i < n; i++) {
+    const size_t slot = std::min(indices[i], zero_slot);
+    std::memcpy(out + static_cast<size_t>(i) * kWidth, dict + slot * kWidth,
+                kWidth);
+  }
+}
+
+/// Decodes a dictionary chunk's values: the dictionary once into typed
+/// slots (a string dictionary once into the output vector's pool), then a
+/// gather of every row by its bit-packed index. Non-NULL rows must index
+/// inside the dictionary.
+Status ReadDictionaryChunk(const DataType& type, int n, BinaryReader* reader,
+                           ColumnVector* out) {
+  uint64_t dict_size = 0;
+  PHOTON_RETURN_NOT_OK(reader->ReadVarU64(&dict_size));
+  const size_t width = static_cast<size_t>(type.byte_width());
+  // Every entry takes at least one byte on disk; bound the allocation by
+  // what the chunk can hold before trusting the count.
+  if (dict_size > reader->remaining()) {
+    return Status::IoError("dictionary larger than its chunk");
+  }
+  Buffer slots((dict_size + 1) * width);
+  uint8_t* dict = slots.data();
+  std::memset(dict + dict_size * width, 0, width);
+  if (type.is_string()) {
+    VarLenPool* pool = out->var_pool();
+    for (uint64_t d = 0; d < dict_size; d++) {
+      uint64_t len = 0;
+      PHOTON_RETURN_NOT_OK(reader->ReadVarU64(&len));
+      const uint8_t* bytes = nullptr;
+      PHOTON_RETURN_NOT_OK(reader->ReadSpan(len, &bytes));
+      const StringRef ref = pool->AddString(
+          reinterpret_cast<const char*>(bytes), static_cast<int32_t>(len));
+      std::memcpy(dict + d * width, &ref, sizeof(ref));
+    }
+  } else {
+    // Fixed-width dictionary entries are stored exactly as the values
+    // buffer holds them (little-endian; decimals low word first).
+    const uint8_t* span = nullptr;
+    PHOTON_RETURN_NOT_OK(reader->ReadSpan(dict_size * width, &span));
+    std::memcpy(dict, span, dict_size * width);
+    if (type.id() == TypeId::kBoolean) {
+      for (uint64_t d = 0; d < dict_size; d++) dict[d] = dict[d] != 0;
+    }
+  }
+
+  uint8_t bit_width = 0;
+  PHOTON_RETURN_NOT_OK(reader->ReadU8(&bit_width));
+  if (bit_width < 1 || bit_width > 32) {
+    return Status::IoError("bad dictionary index width");
+  }
+  std::vector<uint32_t> indices(n);
+  PHOTON_RETURN_NOT_OK(BitUnpack(reader, n, bit_width, indices.data()));
+  const uint8_t* nulls = out->nulls();
+  bool out_of_range = false;
+  for (int i = 0; i < n; i++) {
+    out_of_range |= (indices[i] >= dict_size) & (nulls[i] == 0);
+  }
+  if (out_of_range) return Status::IoError("dictionary index out of range");
+
+  const uint32_t zero_slot = static_cast<uint32_t>(dict_size);
+  const uint32_t* idx = indices.data();
+  uint8_t* values = out->data<uint8_t>();
+  switch (width) {
+    case 1:
+      GatherDictionary<1>(dict, idx, zero_slot, n, values);
+      break;
+    case 4:
+      GatherDictionary<4>(dict, idx, zero_slot, n, values);
+      break;
+    case 8:
+      GatherDictionary<8>(dict, idx, zero_slot, n, values);
+      break;
+    case 16:
+      GatherDictionary<16>(dict, idx, zero_slot, n, values);
+      break;
+    default:
+      return Status::Internal("no dictionary gather for this width");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Result<std::unique_ptr<FileReader>> FileReader::Open(std::string file_bytes) {
   return Open(std::make_shared<const std::string>(std::move(file_bytes)));
 }
@@ -620,24 +717,7 @@ Result<std::unique_ptr<ColumnBatch>> FileReader::ReadRowGroup(
         }
       }
     } else {
-      // Dictionary chunk.
-      uint64_t dict_size = 0;
-      PHOTON_RETURN_NOT_OK(reader.ReadVarU64(&dict_size));
-      std::vector<Value> dict(dict_size);
-      for (uint64_t d = 0; d < dict_size; d++) {
-        PHOTON_RETURN_NOT_OK(ReadTypedValue(type, &reader, &dict[d]));
-      }
-      uint8_t bit_width = 0;
-      PHOTON_RETURN_NOT_OK(reader.ReadU8(&bit_width));
-      std::vector<uint32_t> indices(n);
-      PHOTON_RETURN_NOT_OK(BitUnpack(&reader, n, bit_width, indices.data()));
-      for (int i = 0; i < n; i++) {
-        if (out->nulls()[i]) continue;
-        if (indices[i] >= dict_size) {
-          return Status::IoError("dictionary index out of range");
-        }
-        out->SetValue(i, dict[indices[i]]);
-      }
+      PHOTON_RETURN_NOT_OK(ReadDictionaryChunk(type, n, &reader, out));
     }
   }
   batch->set_num_rows(n);

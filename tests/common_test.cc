@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/byte_buffer.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/time_util.h"
 #include "common/unicode.h"
+#include "storage/bitpack.h"
 #include "storage/compress.h"
 #include "storage/object_store.h"
 
@@ -182,6 +187,177 @@ TEST(CompressTest, RejectsCorruptFrames) {
   std::string truncated = frame.substr(0, frame.size() / 2);
   EXPECT_FALSE(Decompress(truncated).ok());
   EXPECT_FALSE(Decompress("").ok());
+}
+
+// A hand-built kLz frame body: each sequence is literals, then a match of
+// `match_len` bytes `offset` back; offset 0 makes a literals-only sequence
+// with the end marker. DecodeByteAtATime is the reference decoder.
+struct LzSeq {
+  std::string literals;
+  int offset = 0;
+  int match_len = 0;
+};
+
+void WriteLzLength(std::string* out, size_t len) {
+  while (len >= 255) {
+    out->push_back(static_cast<char>(255));
+    len -= 255;
+  }
+  out->push_back(static_cast<char>(len));
+}
+
+std::string LzPayload(const std::vector<LzSeq>& seqs) {
+  std::string out;
+  for (const LzSeq& s : seqs) {
+    size_t lit = s.literals.size();
+    size_t extra = s.offset == 0 ? 0 : static_cast<size_t>(s.match_len - 4);
+    out.push_back(static_cast<char>(((lit < 15 ? lit : 15) << 4) |
+                                    (extra < 15 ? extra : 15)));
+    if (lit >= 15) WriteLzLength(&out, lit - 15);
+    out += s.literals;
+    out.push_back(static_cast<char>(s.offset & 0xFF));
+    out.push_back(static_cast<char>(s.offset >> 8));
+    if (s.offset != 0 && extra >= 15) WriteLzLength(&out, extra - 15);
+  }
+  return out;
+}
+
+std::string LzFrame(uint64_t declared_size, const std::string& payload) {
+  BinaryWriter header;
+  header.WriteU8(static_cast<uint8_t>(Codec::kLz));
+  header.WriteVarU64(declared_size);
+  return header.ToString() + payload;
+}
+
+std::string DecodeByteAtATime(const std::vector<LzSeq>& seqs) {
+  std::string out;
+  for (const LzSeq& s : seqs) {
+    out += s.literals;
+    for (int i = 0; i < (s.offset == 0 ? 0 : s.match_len); i++) {
+      out.push_back(out[out.size() - s.offset]);
+    }
+  }
+  return out;
+}
+
+std::string RandomBytes(Rng* rng, int len) {
+  std::string s(len, 0);
+  for (char& c : s) c = static_cast<char>(rng->Next());
+  return s;
+}
+
+TEST(CompressTest, EveryShortOffsetAcrossCopySteps) {
+  // The decoder copies offsets >= 16 in 16-byte steps, 8..15 in 8-byte
+  // steps and expands shorter ones as a pattern; these lengths end a copy
+  // on, just before and just after each step boundary.
+  Rng rng(3);
+  for (int offset = 1; offset <= 20; offset++) {
+    for (int len : {4, 5, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32, 33, 47, 48,
+                    49, 64, 65, 100, 270, 1000}) {
+      // The frame ends right after the last match, after an end marker
+      // with no literals, or after trailing literals and the marker.
+      for (int ending = 0; ending < 3; ending++) {
+        std::vector<LzSeq> seqs = {{RandomBytes(&rng, offset + 3), offset,
+                                    len}};
+        // A second match right behind the first reads the first's output.
+        seqs.push_back({RandomBytes(&rng, 2), offset, len + 1});
+        if (ending == 1) seqs.push_back({"", 0, 0});
+        if (ending == 2) seqs.push_back({RandomBytes(&rng, 5), 0, 0});
+        std::string expected = DecodeByteAtATime(seqs);
+        Result<std::string> got =
+            Decompress(LzFrame(expected.size(), LzPayload(seqs)));
+        ASSERT_TRUE(got.ok()) << got.status().ToString() << " offset "
+                              << offset << " len " << len;
+        ASSERT_EQ(*got, expected) << "offset " << offset << " len " << len;
+      }
+    }
+    // The compressor's own frames of a periodic input, too.
+    std::string periodic = RandomBytes(&rng, offset);
+    while (periodic.size() < 3000) periodic += periodic.substr(0, offset);
+    Result<std::string> rt = Decompress(Compress(periodic, Codec::kLz));
+    ASSERT_TRUE(rt.ok());
+    EXPECT_EQ(*rt, periodic) << "period " << offset;
+  }
+}
+
+TEST(CompressTest, LongLiteralRunsAndMatches) {
+  Rng rng(4);
+  for (int lit : {14, 15, 16, 269, 270, 271, 600}) {
+    std::vector<LzSeq> seqs = {
+        {RandomBytes(&rng, lit), std::min(lit, 16), 18 + 255},
+        {RandomBytes(&rng, lit), 1, 19 + 255 * 2},
+        {"", 0, 0}};
+    std::string expected = DecodeByteAtATime(seqs);
+    Result<std::string> got =
+        Decompress(LzFrame(expected.size(), LzPayload(seqs)));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(*got, expected) << "literals " << lit;
+  }
+}
+
+TEST(CompressTest, CorruptFramesAreIoErrors) {
+  auto rejects = [](const std::string& frame, const char* what) {
+    Result<std::string> got = Decompress(frame);
+    ASSERT_FALSE(got.ok()) << what;
+    EXPECT_TRUE(got.status().IsIoError()) << what << ": "
+                                          << got.status().ToString();
+  };
+  const std::vector<LzSeq> ok = {{"abcdefgh", 8, 20}, {"xy", 0, 0}};
+  const std::string good = LzPayload(ok);
+  const size_t size = DecodeByteAtATime(ok).size();
+  ASSERT_TRUE(Decompress(LzFrame(size, good)).ok());
+
+  rejects(LzFrame(size, LzPayload({{"abcd", 5, 8}})),
+          "offset past the output");
+  // Both overruns run far past the decoder's slack, so a missing check
+  // shows as a heap overflow under ASan, not only as a size mismatch.
+  rejects(LzFrame(3, LzPayload({{std::string(200, 'a'), 0, 0}})),
+          "literal past the declared size");
+  rejects(LzFrame(10, LzPayload({{"abcd", 4, 300}})),
+          "match past the declared size");
+  rejects(LzFrame(size + 1, good), "declared size larger than the output");
+  rejects(LzFrame(size - 1, good), "declared size smaller than the output");
+  rejects(LzFrame(uint64_t{1} << 60, good), "absurd declared size");
+  // Truncated length bytes: a 15 literal nibble with no extension byte,
+  // and a 15 match nibble whose extension is cut off.
+  rejects(LzFrame(100, std::string("\xF0", 1)), "truncated literal length");
+  std::string long_match = LzPayload({{"abcd", 4, 300}});
+  rejects(LzFrame(304, long_match.substr(0, long_match.size() - 1)),
+          "truncated match length");
+  rejects(LzFrame(10, std::string("\xA0" "abc", 4)), "truncated literals");
+  rejects(LzFrame(4, std::string("\x40" "abcd" "\x04", 6)),
+          "truncated offset");
+}
+
+TEST(BitUnpackTest, MatchesSlowReferenceAtEveryWidth) {
+  Rng rng(5);
+  for (int width = 1; width <= 32; width++) {
+    const uint64_t mask = width == 32 ? 0xFFFFFFFFull : (1ull << width) - 1;
+    for (int n : {1, 3, 63, 65, 127, 130, 1000, 1013}) {
+      std::vector<uint32_t> values(n);
+      for (uint32_t& v : values) v = static_cast<uint32_t>(rng.Next() & mask);
+      BinaryWriter packed;
+      BitPack(values.data(), n, width, &packed);
+      packed.WriteU8(0xAB);  // a trailing byte neither unpacker may consume
+
+      std::vector<uint32_t> fast(n), slow(n);
+      BinaryReader fast_in(packed.data().data(), packed.size());
+      BinaryReader slow_in(packed.data().data(), packed.size());
+      ASSERT_TRUE(BitUnpack(&fast_in, n, width, fast.data()).ok());
+      ASSERT_TRUE(BitUnpackSlow(&slow_in, n, width, slow.data()).ok());
+      ASSERT_EQ(fast, slow) << "width " << width << " n " << n;
+      ASSERT_EQ(fast, values) << "width " << width << " n " << n;
+      EXPECT_EQ(fast_in.position(), slow_in.position());
+      EXPECT_EQ(fast_in.remaining(), 1u);
+
+      // One byte short of the packed run: both reject it.
+      BinaryReader short_fast(packed.data().data(), packed.size() - 2);
+      BinaryReader short_slow(packed.data().data(), packed.size() - 2);
+      EXPECT_TRUE(BitUnpack(&short_fast, n, width, fast.data()).IsIoError());
+      EXPECT_TRUE(
+          BitUnpackSlow(&short_slow, n, width, slow.data()).IsIoError());
+    }
+  }
 }
 
 TEST(ObjectStoreTest, PutGetListDelete) {

@@ -311,6 +311,80 @@ TEST(QueryServiceTest, ConcurrentSessionsMatchSerialReference) {
   EXPECT_EQ(svc.admission().running(), 0);
 }
 
+TEST(QueryServiceTest, FinishedSessionsAreReleased) {
+  // 240 sessions in rounds of 8: each round's handles are waited on and
+  // dropped, so every later Launch may join and release them. Without
+  // reaping the service would hold all 240 results and threads.
+  Table table = MakeTable(2000, 256);
+  plan::PlanPtr p =
+      plan::Aggregate(plan::Scan(&table), {ColK()}, {"k"},
+                      {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
+  ServiceOptions options;
+  options.worker_threads = 2;
+  QueryService svc(options);
+  size_t most_retained = 0;
+  for (int round = 0; round < 30; round++) {
+    std::vector<std::shared_ptr<QuerySession>> handles;
+    for (int i = 0; i < 8; i++) {
+      handles.push_back(svc.Submit(p));
+      most_retained = std::max(most_retained, svc.retained_sessions());
+    }
+    for (auto& h : handles) ASSERT_TRUE(h->Wait().ok());
+  }
+  // A round's 8 sessions plus the previous rounds' not-yet-exited threads.
+  EXPECT_LE(most_retained, 32u);
+  svc.Drain();
+  EXPECT_EQ(svc.retained_sessions(), 0u);
+  EXPECT_EQ(svc.stats().succeeded, 240);
+}
+
+TEST(QueryServiceTest, HandleDroppedBeforeSessionFinishes) {
+  // The caller lets go of a session that is still running: the service's
+  // reference keeps it alive until its thread is joined, on a thread other
+  // than the session's own.
+  Table table = MakeTable(2000, 256);
+  plan::PlanPtr p =
+      plan::Aggregate(plan::Scan(&table), {}, {},
+                      {AggregateSpec{AggKind::kCountStar, nullptr, "n"}});
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> bodies_done{0};
+  QueryService svc;
+  auto blocked_write = [&](exec::Driver* driver, const ExecContext& ctx) {
+    released.wait();
+    Result<Table> out = driver->Run(p, ctx);
+    bodies_done.fetch_add(1);
+    return out;
+  };
+  svc.SubmitWrite(blocked_write);  // handle dropped at once
+  svc.SubmitWrite(blocked_write);
+  EXPECT_EQ(svc.retained_sessions(), 2u);
+  release.set_value();
+  while (svc.stats().succeeded < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The next Launch joins and releases both once their threads exit; the
+  // destructors run here, not on the sessions' threads.
+  for (int i = 0; i < 200 && svc.retained_sessions() > 1; i++) {
+    auto h = svc.Submit(p);
+    ASSERT_TRUE(h->Wait().ok());
+  }
+  EXPECT_LE(svc.retained_sessions(), 1u);
+  EXPECT_EQ(bodies_done.load(), 2);
+
+  // Dropped while running, then drained by the destructor.
+  std::promise<void> go;
+  std::shared_future<void> gate = go.get_future().share();
+  {
+    QueryService scoped;
+    scoped.SubmitWrite([&](exec::Driver* driver, const ExecContext& ctx) {
+      gate.wait();
+      return driver->Run(p, ctx);
+    });
+    go.set_value();
+  }
+}
+
 TEST(QueryServiceTest, OversizeSubmissionFailsCleanly) {
   Table table = MakeTable(100, 64);
   plan::PlanPtr p =

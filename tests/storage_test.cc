@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "exec/driver.h"
 #include "expr/builder.h"
 #include "ops/file_scan.h"
 #include "storage/baseline_file_writer.h"
 #include "storage/bitpack.h"
 #include "storage/delta.h"
 #include "storage/format.h"
+#include "testing/differ.h"
 
 namespace photon {
 namespace {
@@ -205,6 +207,218 @@ TEST(FileFormatTest, RejectsCorruptFiles) {
   std::string corrupt = *bytes;
   corrupt.resize(corrupt.size() / 2);
   EXPECT_FALSE(FileReader::Open(corrupt).ok());
+}
+
+// Every column type. Each column draws from a pool of `distinct` values —
+// negative decimals far past 64 bits, empty and non-ASCII strings — and
+// is NULL on every (5 + column)th row.
+Table AllTypesTable(int rows, int distinct, uint64_t seed) {
+  Schema schema({Field("b", DataType::Boolean()),
+                 Field("i", DataType::Int32()),
+                 Field("d", DataType::Date32()),
+                 Field("l", DataType::Int64()),
+                 Field("t", DataType::Timestamp()),
+                 Field("f", DataType::Float64()),
+                 Field("m", DataType::Decimal(38, 2)),
+                 Field("s", DataType::String())});
+  Rng rng(seed);
+  std::vector<std::vector<Value>> pools(schema.num_fields());
+  for (int k = 0; k < distinct; k++) {
+    pools[0].push_back(Value::Boolean(k % 2 == 1));
+    pools[1].push_back(
+        Value::Int32(static_cast<int32_t>(rng.Uniform(-50, 50))));
+    pools[2].push_back(
+        Value::Date32(static_cast<int32_t>(rng.Uniform(8000, 10000))));
+    pools[3].push_back(Value::Int64(rng.Uniform(-1000000, 1000000)));
+    pools[4].push_back(Value::Timestamp(rng.Uniform(0, 1LL << 48)));
+    pools[5].push_back(Value::Float64(rng.NextDouble() * 200 - 100));
+    int128_t big = static_cast<int128_t>(rng.Uniform(1, 1LL << 40)) << 70;
+    pools[6].push_back(Value::Decimal(Decimal128(
+        k % 3 == 0 ? -big : (k % 3 == 1 ? -rng.Uniform(1, 1000) : big))));
+    pools[7].push_back(Value::String(
+        k == 0 ? "" : (k % 4 == 1 ? "\xC3\xA9t\xC3\xA9-" : "v-") +
+                          std::to_string(k)));
+  }
+  TableBuilder builder(schema);
+  for (int r = 0; r < rows; r++) {
+    std::vector<Value> row;
+    for (int c = 0; c < schema.num_fields(); c++) {
+      row.push_back(r % (5 + c) == 0
+                        ? Value::Null()
+                        : pools[c][rng.Uniform(0, distinct - 1)]);
+    }
+    builder.AppendRow(row);
+  }
+  return builder.Finish();
+}
+
+TEST(FileFormatTest, DictionaryAndPlainChunksRoundTripEveryType) {
+  Table t = AllTypesTable(2000, 6, 31);
+  auto original = t.ToRows();
+  for (bool dictionary : {true, false}) {
+    FormatWriteOptions options;
+    options.row_group_rows = 700;
+    options.enable_dictionary = dictionary;
+    FileWriter writer(t.schema(), options);
+    for (int b = 0; b < t.num_batches(); b++) {
+      ASSERT_TRUE(writer.WriteBatch(t.batch(b)).ok());
+    }
+    Result<std::string> bytes = writer.Finish();
+    ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+    Result<std::unique_ptr<FileReader>> reader = FileReader::Open(*bytes);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    int64_t row = 0;
+    for (int rg = 0; rg < (*reader)->num_row_groups(); rg++) {
+      for (int c = 0; c < t.schema().num_fields(); c++) {
+        EXPECT_EQ((*reader)->meta().row_groups[rg].columns[c].encoding,
+                  dictionary ? ChunkEncoding::kDictionary
+                             : ChunkEncoding::kPlain)
+            << "row group " << rg << " col " << c;
+      }
+      Result<std::unique_ptr<ColumnBatch>> batch =
+          (*reader)->ReadRowGroup(rg, {});
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      for (int i = 0; i < (*batch)->num_rows(); i++, row++) {
+        for (int c = 0; c < t.schema().num_fields(); c++) {
+          ASSERT_TRUE(
+              (*batch)->column(c)->GetValue(i).Equals(original[row][c]))
+              << (dictionary ? "dictionary" : "plain") << " row " << row
+              << " col " << c << ": "
+              << (*batch)->column(c)->GetValue(i).ToString() << " vs "
+              << original[row][c].ToString();
+        }
+      }
+    }
+    EXPECT_EQ(row, 2000);
+  }
+}
+
+TEST(FileFormatTest, DictionaryIndexOutOfRangeFailsOnlyOnNonNullRows) {
+  // 64 rows, uncompressed: rows 0..31 alternate 10/20 and rows 32..63 are
+  // NULL, so the dictionary is {10, 20, NULL} with 2-bit indices, and the
+  // chunk ends with two packed words: rows 0..31, then rows 32..63.
+  Schema schema({Field("x", DataType::Int32())});
+  TableBuilder builder(schema);
+  for (int r = 0; r < 64; r++) {
+    builder.AppendRow({r < 32 ? Value::Int32(r % 2 == 0 ? 10 : 20)
+                              : Value::Null()});
+  }
+  Table t = builder.Finish();
+  FormatWriteOptions options;
+  options.codec = Codec::kNone;
+  FileWriter writer(schema, options);
+  ASSERT_TRUE(writer.WriteBatch(t.batch(0)).ok());
+  Result<std::string> bytes = writer.Finish();
+  ASSERT_TRUE(bytes.ok());
+  const ColumnChunkMeta& chunk = writer.meta().row_groups[0].columns[0];
+  ASSERT_EQ(chunk.encoding, ChunkEncoding::kDictionary);
+  const size_t chunk_end = chunk.offset + chunk.compressed_bytes;
+
+  // Index 3 on every NULL row: still readable, values intact.
+  std::string null_rows_bad = *bytes;
+  std::memset(null_rows_bad.data() + chunk_end - 8, 0xFF, 8);
+  Result<std::unique_ptr<FileReader>> reader = FileReader::Open(null_rows_bad);
+  ASSERT_TRUE(reader.ok());
+  Result<std::unique_ptr<ColumnBatch>> batch = (*reader)->ReadRowGroup(0, {});
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  for (int r = 0; r < 64; r++) {
+    EXPECT_TRUE((*batch)->column(0)->GetValue(r).Equals(t.GetRow(r)[0]))
+        << "row " << r;
+  }
+
+  // Index 3 on non-NULL rows: rejected.
+  std::string live_rows_bad = *bytes;
+  std::memset(live_rows_bad.data() + chunk_end - 16, 0xFF, 8);
+  reader = FileReader::Open(live_rows_bad);
+  ASSERT_TRUE(reader.ok());
+  batch = (*reader)->ReadRowGroup(0, {});
+  ASSERT_FALSE(batch.ok());
+  EXPECT_TRUE(batch.status().IsIoError()) << batch.status().ToString();
+}
+
+const obs::ProfileNode* FindProfileNode(const obs::ProfileNode& node,
+                                        const std::string& name) {
+  if (node.name == name) return &node;
+  for (const obs::ProfileNode& child : node.children) {
+    if (const obs::ProfileNode* hit = FindProfileNode(child, name)) {
+      return hit;
+    }
+  }
+  return nullptr;
+}
+
+TEST(FileFormatTest, ScanPredicateAgreesOnEveryTier) {
+  ObjectStore store;
+  Table t = AllTypesTable(3000, 40, 17);
+  auto delta = DeltaTable::Create(&store, "tables/tiers", t.schema());
+  ASSERT_TRUE(delta.ok());
+  FormatWriteOptions options;
+  options.row_group_rows = 400;
+  ASSERT_TRUE((*delta)->Append(t, options).ok());
+  ASSERT_TRUE((*delta)->Append(t, options).ok());
+  Result<DeltaSnapshot> snap = (*delta)->Snapshot();
+  ASSERT_TRUE(snap.ok());
+
+  // Compiled terms (BETWEEN, column < literal) next to an interpreted
+  // conjunct, over columns with NULLs.
+  const Schema& schema = t.schema();
+  auto col = [&](int c) {
+    return Col(c, schema.field(c).type, schema.field(c).name);
+  };
+  ExprPtr pred = eb::And(
+      eb::And(eb::Between(col(3), Lit(int64_t{-500000}), Lit(int64_t{700000})),
+              eb::Lt(col(1), Lit(int32_t{20}))),
+      eb::Or(eb::Ne(col(7), Lit("v-3")),
+             eb::Lt(col(6), eb::DecimalLit("0", 38, 2))));
+
+  // The row-at-a-time reference over both appended copies.
+  TableBuilder expected_builder(schema);
+  for (int copy = 0; copy < 2; copy++) {
+    for (const std::vector<Value>& row : t.ToRows()) {
+      Result<Value> keep = pred->EvaluateRow(row);
+      ASSERT_TRUE(keep.ok());
+      if (!keep->is_null() && keep->boolean()) expected_builder.AppendRow(row);
+    }
+  }
+  Table expected = expected_builder.Finish();
+  ASSERT_GT(expected.num_rows(), 0);
+  ASSERT_LT(expected.num_rows(), 2 * t.num_rows());
+
+  for (ExprPolicy policy : {ExprPolicy::kTreeOnly, ExprPolicy::kFusedOnly,
+                            ExprPolicy::kCompiledOnly}) {
+    for (int threads : {1, 3}) {
+      exec::Driver driver(threads);
+      ExecContext ctx;
+      ctx.expr_policy = policy;
+      obs::QueryProfile profile;
+      Result<Table> got = driver.Run(plan::DeltaScan(&store, *snap, {}, pred),
+                                     ctx, nullptr, &profile);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(testing::DiffCanonical(testing::Canonicalize(*got),
+                                       testing::Canonicalize(expected),
+                                       "scan", "EvaluateRow"),
+                "")
+          << "policy " << static_cast<int>(policy) << " threads " << threads;
+      // The scan ran its predicate on the pinned tier.
+      const obs::ProfileNode* scan = FindProfileNode(profile.root, "DeltaScan");
+      ASSERT_NE(scan, nullptr);
+      const int64_t fused = scan->Sum(obs::Metric::kExprFusedBatches);
+      const int64_t compiled = scan->Sum(obs::Metric::kExprCompiledBatches);
+      switch (policy) {
+        case ExprPolicy::kTreeOnly:
+          EXPECT_EQ(fused + compiled, 0);
+          break;
+        case ExprPolicy::kFusedOnly:
+          EXPECT_GT(fused, 0);
+          EXPECT_EQ(compiled, 0);
+          break;
+        case ExprPolicy::kCompiledOnly:
+          EXPECT_EQ(fused, 0);
+          EXPECT_GT(compiled, 0);
+          break;
+      }
+    }
+  }
 }
 
 // --- Delta -------------------------------------------------------------------
